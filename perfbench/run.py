@@ -258,16 +258,16 @@ def _alarm(signum, frame):
 
 
 def cli_subprocess_job(job, env: dict, logs: Path) -> tuple:
-    """One CLI process: (wall seconds, exit code, peak RSS in KB, stdout)."""
+    """One CLI process: (exit code, peak RSS in KB, stdout)."""
     out_path = logs / f"{job.out.name}.stdout"
     with open(out_path, "w", encoding="utf-8") as out, \
             open(logs / f"{job.out.name}.stderr", "w", encoding="utf-8") as err:
-        began = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "assistfair.cli", *job.argv],
                                 env=env, cwd=ROOT, stdout=out, stderr=err)
         previous = signal.signal(signal.SIGALRM, _alarm)
         signal.alarm(int(CHILD_TIMEOUT_S))
         try:
+            # wait4, unlike wait, reports this child's own peak memory
             _pid, status, usage = os.wait4(proc.pid, 0)
         except _Timeout:
             proc.kill()
@@ -276,15 +276,13 @@ def cli_subprocess_job(job, env: dict, logs: Path) -> tuple:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        elapsed = time.perf_counter() - began
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return elapsed, proc.returncode, usage.ru_maxrss, out_path.read_text(encoding="utf-8")
+    return proc.returncode, usage.ru_maxrss, out_path.read_text(encoding="utf-8")
 
 
 def cli_inprocess_job(cli, job) -> tuple:
     """The same argument list through ``assistfair.cli.main`` in this process."""
     out, err = io.StringIO(), io.StringIO()
-    began = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(job.argv)
@@ -292,47 +290,25 @@ def cli_inprocess_job(cli, job) -> tuple:
             code = exc.code if isinstance(exc.code, int) else 2
         except Exception:  # an escaped exception is exit 1 for a real process
             code = 1
-    return time.perf_counter() - began, code, 0, out.getvalue()
+    return code, 0, out.getvalue()
+
+
+def check_cli_job(job, output) -> str | None:
+    """Check a CLI job's outputs, then delete them."""
+    code, _rss_kb, stdout = output
+    try:
+        return workloads.check_cli(job, code, stdout)
+    finally:
+        shutil.rmtree(job.out, ignore_errors=True)
 
 
 def cli_loop(run_job, workdir: Path, args, seconds: float, min_jobs: int, cap: float,
              first_pass: int, tracer=None) -> tuple:
-    """Whole passes of the script until ``seconds`` of job time passed and
-    ``min_jobs`` ran, or ``cap`` seconds passed.
-
-    Whole passes keep the mix of commands the same whatever the run length.
-    Each job's outputs are checked, then deleted, as soon as it returns; the
-    clock is paused meanwhile. Returns the job times, the peak RSS of each
-    job in KB, the failures, the loop's wall time and the next pass index.
-    """
-    times, peaks, failures = [], [], []
-    start = time.perf_counter()
-    checking = 0.0
-    pass_index = first_pass
-    while True:
-        for job in workloads.cli_pass(workdir, args.seed, args.scale, pass_index):
-            if tracer is not None:
-                tracer.job = len(times)
-                span = tracer.open("job")
-            elapsed, code, rss_kb, stdout = run_job(job)
-            done = time.perf_counter()
-            if tracer is not None:
-                tracer.close(span)
-                tracer.job = None
-                tracer.paused = True
-            times.append(elapsed)
-            peaks.append(rss_kb)
-            error = workloads.check_cli(job, code, stdout)
-            if error is not None:
-                failures.append(error)
-            shutil.rmtree(job.out, ignore_errors=True)
-            if tracer is not None:
-                tracer.paused = False
-            checking += time.perf_counter() - done
-        pass_index += 1
-        elapsed = time.perf_counter() - start - checking
-        if (elapsed >= seconds and len(times) >= min_jobs) or elapsed >= cap:
-            return times, peaks, failures, elapsed, pass_index
+    """Whole passes of the script; see timed_loop. Whole passes keep the mix
+    of commands the same whatever the run length."""
+    passes = workloads.cli_passes(workdir, args.seed, args.scale, first_pass)
+    return workloads.timed_loop(passes, run_job, check_cli_job, seconds, min_jobs, cap,
+                                tracer)
 
 
 def run_cli(args, env: dict) -> dict:
@@ -349,13 +325,20 @@ def run_cli(args, env: dict) -> dict:
         setups = [wall_of(help_argv, env)[0] for _ in range(scale["workers"])]
         logs = workdir / "logs"
         logs.mkdir()
-        times, peaks, failures, wall, passes = cli_loop(
-            lambda job: cli_subprocess_job(job, env, logs), workdir, args, args.seconds,
-            scale["min_jobs"], cap, 0)
+        peaks = []
+
+        def run_job(job):
+            output = cli_subprocess_job(job, env, logs)
+            peaks.append(output[1])
+            return output
+
+        times, failures, wall = cli_loop(run_job, workdir, args, args.seconds,
+                                         scale["min_jobs"], cap, 0)
         metrics, detail = job_summary(times, wall)
         metrics["setup_s"] = statistics.median(setups)
         metrics["peak_rss_mb"] = max(peaks) / 1024.0
-        detail.update({"setup_samples_s": setups, "passes": passes})
+        detail.update({"setup_samples_s": setups,
+                       "passes": len(times) // workloads.JOBS_PER_PASS})
         return {"metrics": metrics, "detail": detail, "attempted": len(times),
                 "failed": len(failures), "failures": failures,
                 "properties": workloads.cli_properties(args.scale)}
@@ -373,12 +356,12 @@ def run_cli_trace(args, env: dict, workdir: Path, cap: float) -> dict:
         return cli_inprocess_job(cli, item)
 
     half = args.seconds / 2.0
-    plain, _, failures, _, passes = cli_loop(job, workdir, args, half, 1, cap / 2.0, 0)
+    plain, failures, _ = cli_loop(job, workdir, args, half, 1, cap / 2.0, 0)
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        traced, _, traced_failures, _, _ = cli_loop(job, workdir, args, half, 1, cap / 2.0,
-                                                    passes, tracer)
+        traced, traced_failures, _ = cli_loop(job, workdir, args, half, 1, cap / 2.0,
+                                              len(plain) // workloads.JOBS_PER_PASS, tracer)
     finally:
         tracer.uninstall()
     tracer.write(spans_path(args))

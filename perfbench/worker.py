@@ -12,10 +12,10 @@ Run by ``run.py``; not meant to be started by hand.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import resource
 import sys
-import time
 from pathlib import Path
 
 import workloads
@@ -23,51 +23,19 @@ import workloads
 sys.path.insert(0, str(workloads.SRC))
 
 MAX_FAILURES_SHOWN = 5
+# Job indices of the traced phase start here, so its seeds differ from the
+# untraced phase's.
+JOB_INDEX_TRACED = 1_000_000
 
 
 def job_loop(setup, seconds: float, min_jobs: int, cap: float, first: int,
              tracer=None) -> tuple:
-    """Closed loop of jobs until ``seconds`` of job time passed and ``min_jobs``
-    ran, or ``cap`` seconds passed.
-
-    Each output is checked as soon as its job returns, so outputs are not
-    held in memory; the clock is paused while checking. Returns the job
-    times, the failures and the loop's wall time without the checks.
-    """
-    times, failures = [], []
-    start = time.perf_counter()
-    checking = 0.0
-    index = first
-    while True:
-        config = workloads.job_config(setup, index)
-        if tracer is not None:
-            tracer.job = index
-            span = tracer.open("job")
-        began = time.perf_counter()
-        try:
-            report, error = workloads.run_mc_job(setup, config), None
-        except Exception as exc:  # a job that raises is a failed job, not a crash
-            report, error = None, f"{type(exc).__name__}: {exc}"
-        done = time.perf_counter()
-        times.append(done - began)
-        if tracer is not None:
-            tracer.close(span)
-            tracer.job = None
-            tracer.paused = True
-        if error is None:
-            try:
-                error = workloads.check_mc(setup, config, report)
-            except Exception as exc:  # a check that cannot run fails the job
-                error = f"check raised {type(exc).__name__}: {exc}"
-        if error is not None:
-            failures.append(f"job seed {config.seed}: {error}")
-        if tracer is not None:
-            tracer.paused = False
-        checking += time.perf_counter() - done
-        index += 1
-        elapsed = time.perf_counter() - start - checking
-        if (elapsed >= seconds and len(times) >= min_jobs) or elapsed >= cap:
-            return times, failures, elapsed
+    """Back-to-back jobs with job indices from ``first``; see timed_loop."""
+    passes = ([workloads.job_config(setup, index)] for index in itertools.count(first))
+    return workloads.timed_loop(
+        passes, lambda config: workloads.run_mc_job(setup, config),
+        lambda config, report: workloads.check_mc(setup, config, report),
+        seconds, min_jobs, cap, tracer)
 
 
 def main(argv=None) -> int:
@@ -110,7 +78,8 @@ def main(argv=None) -> int:
     half = args.seconds / 2.0
     plain, failures, _ = job_loop(setup, half, 1, args.cap / 2.0, 0)
     spans.install(tracer)
-    traced, traced_failures, _ = job_loop(setup, half, 1, args.cap / 2.0, len(plain), tracer)
+    traced, traced_failures, _ = job_loop(setup, half, 1, args.cap / 2.0, JOB_INDEX_TRACED,
+                                          tracer)
     tracer.uninstall()
     failures += traced_failures
     if args.spans_out:

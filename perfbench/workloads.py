@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import random
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,6 +106,58 @@ def mc_document(name: str, seed: int, scale: str) -> dict:
     if name == "mc_wide":
         return wide_document(seed, reps)
     raise ValueError(f"not an mc workload: {name}")
+
+
+# ---------------------------------------------------------------------------
+# The closed loop every workload times
+
+
+def timed_loop(passes, run_job, check, seconds: float, min_jobs: int, cap: float,
+               tracer=None) -> tuple:
+    """Run jobs one after another: each starts when the previous one returns.
+
+    ``passes`` yields lists of jobs. The loop stops after a whole pass once
+    ``seconds`` of job time have passed and ``min_jobs`` jobs ran, or once
+    ``cap`` seconds passed. ``run_job(job)`` returns the job's output, and a
+    job that raises has failed. ``check(job, output)`` returns a failure
+    message or None; it runs as soon as the job returns, so outputs are not
+    held in memory, and the clock is paused meanwhile. With a ``tracer``
+    each job is a root span and checks record no spans. Returns the job
+    times, the failure messages and the loop's wall time without checks.
+    """
+    times, failures = [], []
+    start = time.perf_counter()
+    checking = 0.0
+    for jobs in passes:
+        for job in jobs:
+            if tracer is not None:
+                tracer.job = len(times)
+                span = tracer.open("job")
+            began = time.perf_counter()
+            try:
+                output, error = run_job(job), None
+            except Exception as exc:  # a job that raises is a failed job, not a crash
+                output, error = None, f"{type(exc).__name__}: {exc}"
+            done = time.perf_counter()
+            times.append(done - began)
+            if tracer is not None:
+                tracer.close(span)
+                tracer.job = None
+                tracer.paused = True
+            if error is None:
+                try:
+                    error = check(job, output)
+                except Exception as exc:  # a check that cannot run fails the job
+                    error = f"check raised {type(exc).__name__}: {exc}"
+            if error is not None:
+                failures.append(error)
+            if tracer is not None:
+                tracer.paused = False
+            checking += time.perf_counter() - done
+        elapsed = time.perf_counter() - start - checking
+        if (elapsed >= seconds and len(times) >= min_jobs) or elapsed >= cap:
+            return times, failures, elapsed
+    raise ValueError("passes ran out")
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +282,20 @@ def check_close(payload: dict, reference: dict, tol: float) -> str | None:
 
 def check_mc(setup: McSetup, config, report) -> str | None:
     """Correctness of one mc job's report; None when it passes."""
+    from assistfair import metrics
+
     payload = report.to_json_dict()
     json.dumps(payload, allow_nan=False)
     if setup.name == "mc_grid":
-        reference = run_conjugate_reference(setup, config)
-        return check_close(payload, reference.to_json_dict(), GRID_TOL)
-    n_per_x = 2 * setup.config.count(setup.spec.covariates[0], 0)
-    tables = oracle_tables(setup.spec, setup.conjugate, n_per_x)
-    p_x = {str(x): setup.spec.p_x(x) for x in setup.spec.covariates}
-    return check_against_oracle(payload, tables, p_x)
-
-
-def run_conjugate_reference(setup: McSetup, config):
-    from assistfair import metrics
-
-    return metrics.mc_expected_metrics(setup.spec, setup.conjugate, config, None, setup.reps)
+        reference = metrics.mc_expected_metrics(setup.spec, setup.conjugate, config, None,
+                                                setup.reps)
+        error = check_close(payload, reference.to_json_dict(), GRID_TOL)
+    else:
+        n_per_x = 2 * setup.config.count(setup.spec.covariates[0], 0)
+        tables = oracle_tables(setup.spec, setup.conjugate, n_per_x)
+        p_x = {str(x): setup.spec.p_x(x) for x in setup.spec.covariates}
+        error = check_against_oracle(payload, tables, p_x)
+    return error and f"job seed {config.seed}: {error}"
 
 
 def mc_properties(setup: McSetup) -> dict:
@@ -301,6 +353,8 @@ VERIFY_REPS = {
 # labels one replication represents per claim, from the standard problems
 VERIFY_LABELS_PER_REP = {"remark1": 8, "remark2": 2 * 12, "remark3": 2 * 16, "thm1": 400,
                          "cor1": 400, "thm2": 400, "consistency": 2 * (10 + 100 + 1000)}
+# closed-form, verify for each claim, simulate and sweep
+JOBS_PER_PASS = 1 + len(VERIFY_LABELS_PER_REP) + 2
 SIMULATE_REPS = {"full": 10000, "tiny": 1000}
 SWEEP_REPS = {"full": 2000, "tiny": 20}
 SWEEP_VALUES = [0.0, 0.2, 0.4, 0.8]
@@ -351,6 +405,14 @@ def cli_pass(workdir: Path, seed: int, scale: str, pass_index: int) -> list:
     return jobs
 
 
+def cli_passes(workdir: Path, seed: int, scale: str, first_pass: int):
+    """Endless passes of the script, numbered from ``first_pass``."""
+    pass_index = first_pass
+    while True:
+        yield cli_pass(workdir, seed, scale, pass_index)
+        pass_index += 1
+
+
 def cli_properties(scale: str) -> dict:
     script = [{"command": "closed-form", "reps": 0, "labels": 0}]
     for claim, reps in VERIFY_REPS[scale].items():
@@ -360,7 +422,7 @@ def cli_properties(scale: str) -> dict:
                    "labels": SIMULATE_REPS[scale] * 400})
     script.append({"command": "sweep delta_mu", "reps": SWEEP_REPS[scale],
                    "labels": SWEEP_REPS[scale] * 400 * len(SWEEP_VALUES)})
-    return {"jobs_per_pass": len(script), "script": script}
+    return {"jobs_per_pass": JOBS_PER_PASS, "script": script}
 
 
 def _reject_constant(name):
