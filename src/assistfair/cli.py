@@ -7,8 +7,7 @@ inequalities, exit 0 only when the success fraction clears the level), and
 
 Configs are single JSON documents carrying the problem, the training counts
 and seed, and the prior; command flags override the scalar fields. Outputs
-are deterministic byte-for-byte for a fixed config and seed, whatever the
-worker-thread count (capped by ASSISTFAIR_THREADS).
+are deterministic byte-for-byte for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -37,6 +37,7 @@ from .model import (
     document_to_spec,
     normal_marginal_grid,
 )
+from .model import _integer, _number
 from .oracle import example_closed_forms, xi_threshold_general
 from .verify import (
     verify_consistency,
@@ -70,11 +71,14 @@ _REQUIRED_FIELDS = _SPEC_FIELDS + ("counts", "seed", "prior")
 def load_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
 
 
 def parse_bundle(doc: Mapping, *, seed: int | None = None,
@@ -89,15 +93,18 @@ def parse_bundle(doc: Mapping, *, seed: int | None = None,
         working["seed"] = seed
     config = document_to_config(working, spec)
     prior = document_to_prior(doc["prior"], spec)
-    effective_reps = reps if reps is not None else int(doc.get("reps", DEFAULT_REPS))
-    if effective_reps < 1:
+    if reps is None:
+        reps = _integer(doc.get("reps", DEFAULT_REPS), "reps")
+    if reps < 1:
         raise ConfigError("reps must be at least 1")
     rule_names = doc.get("rules")
     if rule_names is None:
         kinds = list(RuleKind)
-    else:
+    elif isinstance(rule_names, list):
         kinds = [RuleKind.from_name(name) for name in rule_names]
-    return spec, prior, config, effective_reps, kinds
+    else:
+        raise ConfigError(f"rules must be a list of rule names, got {rule_names!r}")
+    return spec, prior, config, reps, kinds
 
 
 def _normalize_axes(doc: Mapping) -> list:
@@ -113,8 +120,10 @@ def _normalize_axes(doc: Mapping) -> list:
             raise ConfigError(
                 f"unknown sweep axis {axis!r}; valid axes: {', '.join(SWEEP_AXES)}"
             )
-        if not values:
+        if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep axis {axis!r} needs a non-empty values list")
+        for value in values:
+            _number(value, f"sweep axis {axis!r} value")
         axes.append({"axis": axis, "values": list(values)})
     return axes
 
@@ -137,7 +146,7 @@ def apply_axis(doc: dict, axis: str, value) -> dict:
         out["prior"]["tau_sq"] = float(value)
     elif axis == "n":
         key = _single_covariate(doc, axis)
-        n = int(value)
+        n = _integer(value, "sweep axis 'n' value")
         if n <= 0 or n % 2:
             raise ConfigError("sweep axis 'n' requires positive even values")
         out["counts"][key] = [n // 2, n // 2]
@@ -180,9 +189,10 @@ def write_csv_rows(path, rows: Sequence, header: Sequence = CSV_HEADER) -> None:
 
 
 def write_json(path, payload) -> None:
+    """Strict JSON: a NaN or infinity raises before anything is written."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _print_report_summary(report: MetricsReport) -> None:
@@ -301,7 +311,7 @@ def _run_verify_claim(claim: str, args) -> tuple:
             outcome = verify_remark2(spec.noise_var, prior.tau_sq, n,
                                      spec.delta_mu(x), doc_reps, config.seed)
         else:
-            outcome = verify_remark2(1.0, 1.0, 12, 0.0, reps if reps else 20000,
+            outcome = verify_remark2(1.0, 1.0, 12, 0.0, reps if reps is not None else 20000,
                                      seed if seed is not None else DEFAULT_SEED)
         return outcome, outcome.passed(args.level), outcome.to_json_dict()
 
@@ -313,7 +323,7 @@ def _run_verify_claim(claim: str, args) -> tuple:
             outcome = runs[str(spec.covariates[0])] if len(runs) == 1 else \
                 _merge_outcomes("remark3", runs)
         else:
-            use_reps = reps if reps else 20000
+            use_reps = reps if reps is not None else 20000
             use_seed = seed if seed is not None else DEFAULT_SEED
             runs = {}
             for i, delta_mu in enumerate((0.8, 0.2)):
@@ -342,7 +352,7 @@ def _run_verify_claim(claim: str, args) -> tuple:
             )
             prior = _consistency_prior(spec)
             result = verify_consistency(
-                prior, spec, [10, 100, 1000], reps if reps else 500,
+                prior, spec, [10, 100, 1000], reps if reps is not None else 500,
                 seed if seed is not None else DEFAULT_SEED)
         payload = result.to_json_dict()
         payload["passed"] = result.passed()
@@ -453,6 +463,20 @@ def _write_sweep_charts(out: Path, axis: str, reports: Sequence,
 # Parser and entry point
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def level_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="assistfair",
@@ -471,13 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=cmd_simulate)
 
     closed = sub.add_parser("closed-form", help="exact table for the balanced example")
-    closed.add_argument("--sigma-sq", type=float, default=1.0)
-    closed.add_argument("--tau-sq", type=float, default=1.0)
+    closed.add_argument("--sigma-sq", type=finite_float, default=1.0)
+    closed.add_argument("--tau-sq", type=finite_float, default=1.0)
     closed.add_argument("--n", type=int, default=8)
-    closed.add_argument("--delta", type=float, default=1.0)
-    closed.add_argument("--delta-mu", type=float, default=0.0)
-    closed.add_argument("--beta-bar", type=float, default=0.0)
-    closed.add_argument("--mu-bar", type=float, default=0.0)
+    closed.add_argument("--delta", type=finite_float, default=1.0)
+    closed.add_argument("--delta-mu", type=finite_float, default=0.0)
+    closed.add_argument("--beta-bar", type=finite_float, default=0.0)
+    closed.add_argument("--mu-bar", type=finite_float, default=0.0)
     closed.add_argument("--out", default=None, help="optional output directory")
     closed.set_defaults(handler=cmd_closed_form)
 
@@ -488,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--reps", type=int, default=None)
     verify.add_argument("--out", default=".")
-    verify.add_argument("--level", type=float, default=DEFAULT_LEVEL,
+    verify.add_argument("--level", type=level_fraction, default=DEFAULT_LEVEL,
                         help="success fraction required to pass")
     verify.set_defaults(handler=cmd_verify)
 

@@ -19,61 +19,27 @@ never on the full prediction table.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .errors import EmptyCellError, PreconditionError, SignalSupportError
-from .model import (
-    ConjugateNormalPrior,
-    DecisionRule,
-    GridPrior,
-    Prior,
-    ProblemSpec,
-    RuleKind,
-    TrainingConfig,
-)
-from .predictors import MachinePrediction
+from .model import ConjugateNormalPrior, GridPrior, Prior
 
 __all__ = [
-    "SignalKind",
-    "PosteriorSummary",
     "DisparityCheck",
     "decide_unassisted",
     "decide_assisted_aware_conjugate",
     "decide_assisted_blind_conjugate",
     "grid_posterior_aware",
     "grid_posterior_blind",
-    "decide_cell",
     "check_delta_disparate",
-    "realize_rules",
 ]
 
 # Rows per chunk are sized so one temporary stays near 16 MB; the grid axis
 # is never partitioned, so chunking cannot perturb any row's reduction.
 _CHUNK_ELEMENTS = 1 << 21
-
-
-class SignalKind(enum.Enum):
-    NONE = "none"
-    BLIND = "blind"
-    AWARE = "aware"
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """A single cell's decision together with the signal that produced it."""
-
-    mean: float
-    signal_kind: SignalKind
-    cell: tuple
-
-    def __post_init__(self):
-        if not math.isfinite(self.mean):
-            raise PreconditionError("posterior mean is not finite")
 
 
 @dataclass(frozen=True)
@@ -235,28 +201,6 @@ def grid_posterior_blind(prior: GridPrior, fminus, counts: tuple, sigma_sq: floa
     return float(out[0]) if scalar else out
 
 
-def decide_cell(prior: Prior, x, g: int, *, signal_kind: SignalKind = SignalKind.NONE,
-                signal: float | None = None, counts: tuple | None = None,
-                sigma_sq: float | None = None) -> PosteriorSummary:
-    """One cell's decision under any prior and signal kind, as a summary record."""
-    if signal_kind is SignalKind.NONE:
-        mean = decide_unassisted(prior, x, g)
-    elif signal is None or counts is None or sigma_sq is None:
-        raise PreconditionError("assisted decisions need signal, counts, and sigma_sq")
-    elif signal_kind is SignalKind.AWARE:
-        n_cell = counts[1] if g == 1 else counts[0]
-        if isinstance(prior, ConjugateNormalPrior):
-            mean = decide_assisted_aware_conjugate(prior, signal, n_cell, sigma_sq, x, g)
-        else:
-            mean = grid_posterior_aware(prior, signal, n_cell, sigma_sq, x, g)
-    else:
-        if isinstance(prior, ConjugateNormalPrior):
-            mean = decide_assisted_blind_conjugate(prior, signal, counts, sigma_sq, x, g)
-        else:
-            mean = grid_posterior_blind(prior, signal, counts, sigma_sq, x, g)
-    return PosteriorSummary(mean=float(mean), signal_kind=signal_kind, cell=(x, g))
-
-
 def check_delta_disparate(prior: Prior, counts: tuple, x,
                           group_tol: float = 1e-9) -> DisparityCheck:
     """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
@@ -299,36 +243,3 @@ def check_delta_disparate(prior: Prior, counts: tuple, x,
         start = stop
     return DisparityCheck(infimum=infimum, bounded_below=True, slope=None)
 
-
-def realize_rules(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                  blind: MachinePrediction, aware: MachinePrediction) -> Mapping:
-    """All five decision rules realized from one pair of fitted predictors.
-
-    Returns a mapping RuleKind -> DecisionRule over the spec's full support.
-    """
-    f_minus, f_plus, d0, d_minus, d_plus = {}, {}, {}, {}, {}
-    conjugate = isinstance(prior, ConjugateNormalPrior)
-    for x in spec.covariates:
-        signal_blind = blind.predict(x)
-        counts = (config.count(x, 1), config.count(x, 0))
-        for g in (0, 1):
-            f_minus[(x, g)] = signal_blind
-            f_plus[(x, g)] = aware.predict(x, g)
-            d0[(x, g)] = decide_unassisted(prior, x, g)
-            if conjugate:
-                d_minus[(x, g)] = decide_assisted_blind_conjugate(
-                    prior, signal_blind, counts, spec.noise_var, x, g)
-                d_plus[(x, g)] = decide_assisted_aware_conjugate(
-                    prior, f_plus[(x, g)], config.count(x, g), spec.noise_var, x, g)
-            else:
-                d_minus[(x, g)] = grid_posterior_blind(
-                    prior, signal_blind, counts, spec.noise_var, x, g)
-                d_plus[(x, g)] = grid_posterior_aware(
-                    prior, f_plus[(x, g)], config.count(x, g), spec.noise_var, x, g)
-    return {
-        RuleKind.F_MINUS: DecisionRule(kind=RuleKind.F_MINUS, values=f_minus),
-        RuleKind.F_PLUS: DecisionRule(kind=RuleKind.F_PLUS, values=f_plus),
-        RuleKind.D0: DecisionRule(kind=RuleKind.D0, values=d0),
-        RuleKind.D_MINUS: DecisionRule(kind=RuleKind.D_MINUS, values=d_minus),
-        RuleKind.D_PLUS: DecisionRule(kind=RuleKind.D_PLUS, values=d_plus),
-    }

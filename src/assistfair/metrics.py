@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import DecisionRule, Prior, ProblemSpec, RuleKind, TrainingConfig
+from .model import Prior, ProblemSpec, RuleKind, TrainingConfig
 from .simulate import replicate_rule_values
 
 __all__ = [
@@ -25,10 +25,7 @@ __all__ = [
     "RuleStats",
     "MetricsReport",
     "CellBiasVariance",
-    "disparity",
-    "avg_disparity",
     "pointwise_risk",
-    "risk_at_x",
     "mc_expected_metrics",
     "bias_variance_decomp",
 ]
@@ -141,16 +138,6 @@ class CellBiasVariance:
     reps: int
 
 
-def disparity(rule: DecisionRule, x) -> float:
-    """Group gap of a realized rule at ``x``: d(x,1) - d(x,0)."""
-    return rule.value(x, 1) - rule.value(x, 0)
-
-
-def avg_disparity(rule: DecisionRule, spec: ProblemSpec) -> float:
-    """Covariate-probability-weighted mean of the per-x disparities."""
-    return math.fsum(spec.p_x(x) * disparity(rule, x) for x in spec.covariates)
-
-
 def pointwise_risk(rule_value, spec: ProblemSpec, x, g: int):
     """Risk of deciding ``rule_value`` at cell (x, g): squared bias plus noise.
 
@@ -159,12 +146,6 @@ def pointwise_risk(rule_value, spec: ProblemSpec, x, g: int):
     dev = np.asarray(rule_value, dtype=np.float64) - spec.mu(x, g)
     out = dev * dev + spec.noise_var
     return float(out) if np.ndim(rule_value) == 0 else out
-
-
-def risk_at_x(rule: DecisionRule, spec: ProblemSpec, x) -> float:
-    """Group-probability-weighted risk of a realized rule at ``x``."""
-    return (spec.p_group(x, 1) * pointwise_risk(rule.value(x, 1), spec, x, 1)
-            + spec.p_group(x, 0) * pointwise_risk(rule.value(x, 0), spec, x, 0))
 
 
 def _estimate(samples: np.ndarray) -> Estimate:
@@ -201,8 +182,8 @@ def _rule_stats(kind: RuleKind, per_cell: Mapping, spec: ProblemSpec) -> RuleSta
 
 
 def mc_expected_metrics(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                        rule_kinds: Iterable | None = None, reps: int = 1000,
-                        *, threads: int | None = None) -> MetricsReport:
+                        rule_kinds: Iterable | None = None,
+                        reps: int = 1000) -> MetricsReport:
     """Expected metrics over training draws, estimated by seeded replication.
 
     With ``reps=1`` point values are reported and standard errors are None.
@@ -210,15 +191,14 @@ def mc_expected_metrics(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     kinds = list(rule_kinds) if rule_kinds is not None else list(RuleKind)
-    values = replicate_rule_values(spec, prior, config, kinds, reps, threads=threads)
+    values = replicate_rule_values(spec, prior, config, kinds, reps)
     rules = {kind: _rule_stats(kind, values[kind], spec) for kind in kinds}
     return MetricsReport(rules=rules, reps=reps, seed=config.seed,
                          noise_var=spec.noise_var, covariates=spec.covariates)
 
 
 def bias_variance_decomp(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                         rule_kind: RuleKind, reps: int,
-                         *, threads: int | None = None) -> Mapping:
+                         rule_kind: RuleKind, reps: int) -> Mapping:
     """Per-cell Monte Carlo bias and variance of one rule across replications.
 
     Returns {(x, g): CellBiasVariance}. The variance standard error uses the
@@ -227,8 +207,7 @@ def bias_variance_decomp(spec: ProblemSpec, prior: Prior, config: TrainingConfig
     """
     if reps < 2:
         raise ConfigError("bias_variance_decomp needs reps >= 2")
-    values = replicate_rule_values(spec, prior, config, [rule_kind], reps,
-                                   threads=threads)[rule_kind]
+    values = replicate_rule_values(spec, prior, config, [rule_kind], reps)[rule_kind]
     out = {}
     for (x, g), samples in values.items():
         mean = float(samples.mean())

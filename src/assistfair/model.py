@@ -8,22 +8,20 @@ independent conjugate-Normal prior per cell, or an arbitrary discrete grid
 of ``(mu1, mu0)`` pairs per covariate value.
 
 All types are plain frozen dataclasses; nothing here mutates after
-construction, so instances are safe to share across threads. Sampling takes
-explicit seeds and is driven by the counter-based streams in
-:mod:`assistfair.rng`.
+construction. Training draws are simulated by :mod:`assistfair.simulate`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from . import rng
-from .errors import EmptyCellError, SpecValidationError
+from .errors import ConfigError, SpecValidationError
 
 __all__ = [
     "PROB_SUM_TOL",
@@ -32,16 +30,11 @@ __all__ = [
     "RuleKind",
     "ProblemSpec",
     "TrainingConfig",
-    "TrainingSet",
     "ConjugateNormalPrior",
     "GridPrior",
     "Prior",
     "DerivedExampleParams",
-    "DecisionRule",
     "validate_spec",
-    "weighted_mean_mu",
-    "sample_training",
-    "sample_deployment_group",
     "derive_example_params",
     "normal_marginal_grid",
     "product_grid",
@@ -135,31 +128,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class TrainingSet:
-    """Realized labeled sample; records are (x, g, y) triples."""
-
-    records: tuple
-    counts: Mapping = field(default=None)
-
-    def __post_init__(self):
-        derived: dict = {}
-        for x, g, _y in self.records:
-            derived[(x, g)] = derived.get((x, g), 0) + 1
-        if self.counts is None:
-            object.__setattr__(self, "counts", derived)
-        elif dict(self.counts) != derived:
-            raise SpecValidationError("TrainingSet counts do not match records")
-        for _x, _g, y in self.records:
-            if not math.isfinite(y):
-                raise SpecValidationError("TrainingSet contains non-finite label")
-
-    def ys(self, x, g=None) -> list:
-        if g is None:
-            return [y for (xi, _gi, y) in self.records if xi == x]
-        return [y for (xi, gi, y) in self.records if xi == x and gi == g]
-
-
-@dataclass(frozen=True)
 class ConjugateNormalPrior:
     """Independent Normal(beta(x, g), tau_sq) belief per cell."""
 
@@ -234,30 +202,6 @@ class DerivedExampleParams:
     n: int            # total sample size, split n/2 per group
 
 
-@dataclass(frozen=True)
-class DecisionRule:
-    """A realized mapping (x, g) -> decision, tagged by the rule that produced it."""
-
-    kind: RuleKind
-    values: Mapping  # (x, g) -> float
-
-    def __post_init__(self):
-        if self.kind is RuleKind.F_MINUS:
-            xs = {x for (x, _g) in self.values}
-            for x in xs:
-                v1, v0 = self.values.get((x, 1)), self.values.get((x, 0))
-                if v1 is not None and v0 is not None and v1 != v0:
-                    raise SpecValidationError(
-                        "group-blind rule must take identical values across groups"
-                    )
-
-    def value(self, x, g: int) -> float:
-        try:
-            return self.values[(x, g)]
-        except KeyError:
-            raise EmptyCellError(f"rule {self.kind.value} undefined at cell ({x!r}, {g})")
-
-
 def validate_spec(spec: ProblemSpec) -> ProblemSpec:
     """Check all ProblemSpec invariants; on success return the spec unchanged.
 
@@ -298,52 +242,6 @@ def validate_config(config: TrainingConfig, spec: ProblemSpec) -> TrainingConfig
         if not isinstance(n, int) or n < 0:
             raise SpecValidationError(f"count for cell {cell!r} must be a non-negative integer")
     return config
-
-
-def weighted_mean_mu(spec: ProblemSpec, config: TrainingConfig, x) -> float:
-    """Count-weighted true mean of the training cells at ``x``.
-
-    Returns (n(x,1) mu(x,1) + n(x,0) mu(x,0)) / (n(x,1) + n(x,0)).
-    """
-    n1, n0 = config.count(x, 1), config.count(x, 0)
-    if n1 + n0 <= 0:
-        raise EmptyCellError(f"no training observations at x={x!r}")
-    return (n1 * spec.mu(x, 1) + n0 * spec.mu(x, 0)) / (n1 + n0)
-
-
-def sample_training(spec: ProblemSpec, config: TrainingConfig) -> TrainingSet:
-    """Draw the training set: exactly n(x, g) iid labels per cell.
-
-    Fully determined by ``config.seed``; cell (x, g) draws from the stream
-    ``derive_key(seed, STREAM_TRAINING, cell_index)`` so cells never share
-    randomness and the same seed always reproduces the same records.
-    """
-    validate_spec(spec)
-    validate_config(config, spec)
-    sd = math.sqrt(spec.noise_var)
-    records = []
-    for x, g in spec.cells():
-        m = config.count(x, g)
-        if m == 0:
-            continue
-        key = rng.derive_key(config.seed, rng.STREAM_TRAINING, spec.cell_index(x, g))
-        ys = rng.normal_stream(key, m, mean=spec.mu(x, g), sd=sd)
-        records.extend((x, g, float(y)) for y in ys)
-    return TrainingSet(records=tuple(records))
-
-
-def sample_deployment_group(spec: ProblemSpec, x, seed: int, size: int | None = None):
-    """Draw deployment group membership(s) at ``x``: Bernoulli(P(G=1 | X=x)).
-
-    With ``size=None`` returns a single int in {0, 1}; otherwise an int array.
-    """
-    validate_spec(spec)
-    if x not in spec.covariates:
-        raise SpecValidationError(f"unknown covariate value {x!r}")
-    key = rng.derive_key(seed, rng.STREAM_DEPLOYMENT, spec.covariates.index(x))
-    n = 1 if size is None else size
-    draws = (rng.uniform_stream(key, n) < spec.group_probs[x]).astype(int)
-    return int(draws[0]) if size is None else draws
 
 
 def derive_example_params(spec: ProblemSpec, prior: ConjugateNormalPrior,
@@ -441,6 +339,69 @@ def _covariate_key(x) -> str:
     return str(x)
 
 
+def _field(doc: Mapping, name: str, where: str = "config"):
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    if name not in doc:
+        raise ConfigError(f"{where} missing required field: {name}")
+    return doc[name]
+
+
+def _number(value, name: str) -> float:
+    """A finite JSON number; strings, booleans, NaN, infinities and integers
+    beyond the float range are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; fractional numbers are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _triples(value, name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 3 or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{name} must be a list of finite [mu1, mu0, weight] triples")
+    return arr
+
+
+def _per_covariate(doc: Mapping, name: str, by_key: Mapping, convert,
+                   pair: bool = False, where: str = "config") -> dict:
+    """Field ``name`` of ``doc``, keyed by covariate, each value converted.
+
+    With ``pair`` each value must be a ``[group0, group1]`` list.
+    """
+    raw = _field(doc, name, where)
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"{name} must be an object keyed by covariate, got {raw!r}")
+    out = {}
+    for key, value in raw.items():
+        if key not in by_key:
+            raise ConfigError(f"{name} names unknown covariate {key!r}")
+        label = f"{name}[{key!r}]"
+        if not pair:
+            out[by_key[key]] = convert(value, label)
+        elif isinstance(value, (list, tuple)) and len(value) == 2:
+            out[by_key[key]] = (convert(value[0], label), convert(value[1], label))
+        else:
+            raise ConfigError(f"{label} must be a [group0, group1] pair, got {value!r}")
+    return out
+
+
+def _require_every_covariate(values: Mapping, spec: ProblemSpec, name: str) -> None:
+    for x in spec.covariates:
+        if x not in values:
+            raise ConfigError(f"prior {name} has no entry for covariate {x!r}")
+
+
 def spec_to_document(spec: ProblemSpec) -> dict:
     return {
         "covariates": list(spec.covariates),
@@ -454,25 +415,20 @@ def spec_to_document(spec: ProblemSpec) -> dict:
 
 
 def document_to_spec(doc: Mapping) -> ProblemSpec:
-    covariates = tuple(doc["covariates"])
+    covariates = _field(doc, "covariates")
+    if not isinstance(covariates, list) or not all(
+            isinstance(x, (str, int, float)) for x in covariates):
+        raise ConfigError(f"covariates must be a list of names, got {covariates!r}")
     by_key = {_covariate_key(x): x for x in covariates}
-
-    def resolve(mapping: Mapping) -> dict:
-        return {by_key[k]: v for k, v in mapping.items()}
-
-    probs = resolve(doc["covariate_probs"])
-    groups = resolve(doc["group_probs"])
     means = {}
-    for k, (m0, m1) in doc["true_means"].items():
-        x = by_key[k]
-        means[(x, 0)] = float(m0)
-        means[(x, 1)] = float(m1)
+    for x, (m0, m1) in _per_covariate(doc, "true_means", by_key, _number, pair=True).items():
+        means[(x, 0)], means[(x, 1)] = m0, m1
     spec = ProblemSpec(
-        covariates=covariates,
-        covariate_probs=probs,
-        group_probs=groups,
+        covariates=tuple(covariates),
+        covariate_probs=_per_covariate(doc, "covariate_probs", by_key, _number),
+        group_probs=_per_covariate(doc, "group_probs", by_key, _number),
         true_means=means,
-        noise_var=float(doc["noise_var"]),
+        noise_var=_number(_field(doc, "noise_var"), "noise_var"),
     )
     return validate_spec(spec)
 
@@ -490,11 +446,9 @@ def config_to_document(config: TrainingConfig, spec: ProblemSpec) -> dict:
 def document_to_config(doc: Mapping, spec: ProblemSpec) -> TrainingConfig:
     by_key = {_covariate_key(x): x for x in spec.covariates}
     counts = {}
-    for k, (n0, n1) in doc["counts"].items():
-        x = by_key[k]
-        counts[(x, 0)] = int(n0)
-        counts[(x, 1)] = int(n1)
-    config = TrainingConfig(counts=counts, seed=int(doc["seed"]))
+    for x, (n0, n1) in _per_covariate(doc, "counts", by_key, _integer, pair=True).items():
+        counts[(x, 0)], counts[(x, 1)] = n0, n1
+    config = TrainingConfig(counts=counts, seed=_integer(_field(doc, "seed"), "seed"))
     return validate_config(config, spec)
 
 
@@ -522,18 +476,18 @@ def prior_to_document(prior: Prior, spec: ProblemSpec) -> dict:
 
 def document_to_prior(doc: Mapping, spec: ProblemSpec) -> Prior:
     by_key = {_covariate_key(x): x for x in spec.covariates}
-    kind = doc.get("kind")
+    kind = _field(doc, "kind", "prior")
     if kind == "conjugate_normal":
+        pairs = _per_covariate(doc, "beta", by_key, _number, pair=True, where="prior")
+        _require_every_covariate(pairs, spec, "beta")
         beta = {}
-        for k, (b0, b1) in doc["beta"].items():
-            x = by_key[k]
-            beta[(x, 0)] = float(b0)
-            beta[(x, 1)] = float(b1)
-        return ConjugateNormalPrior(beta=beta, tau_sq=float(doc["tau_sq"]))
+        for x, (b0, b1) in pairs.items():
+            beta[(x, 0)], beta[(x, 1)] = b0, b1
+        tau_sq = _number(_field(doc, "tau_sq", "prior"), "tau_sq")
+        return ConjugateNormalPrior(beta=beta, tau_sq=tau_sq)
     if kind == "grid":
-        points = {}
-        for k, triples in doc["points"].items():
-            arr = np.asarray(triples, dtype=np.float64).reshape(-1, 3)
-            points[by_key[k]] = (arr[:, 0], arr[:, 1], arr[:, 2])
-        return GridPrior(points=points)
+        arrays = _per_covariate(doc, "points", by_key, _triples, where="prior")
+        _require_every_covariate(arrays, spec, "points")
+        return GridPrior(points={x: (arr[:, 0], arr[:, 1], arr[:, 2])
+                                 for x, arr in arrays.items()})
     raise SpecValidationError(f"unknown prior kind {kind!r}")

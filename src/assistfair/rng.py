@@ -13,14 +13,14 @@ draw index. The construction uses the SplitMix64 finalizer:
 
 Because generation is counter-based, any slice of any stream can be
 recomputed independently of every other slice. Monte Carlo replications are
-therefore independent of execution order, chunk size, and worker count, and
-a replication's data can be reproduced in isolation from
+therefore independent of execution order and chunk size, and a
+replication's data can be reproduced in isolation from
 ``(master_seed, replication_index, stream, cell)`` alone.
 
 The inverse-CDF method is used instead of polar or ziggurat rejection
 sampling so that the number of uniforms consumed per variate is fixed.
 Bit-exactness across *implementations* is not a goal; bit-exactness across
-runs, thread counts, and partitionings of the same implementation is.
+runs and partitionings of the same implementation is.
 """
 
 from __future__ import annotations
@@ -102,9 +102,8 @@ def derive_key(seed, *parts):
 def replication_seed(master_seed: int, replication_index: int):
     """Derived seed owned by one Monte Carlo replication.
 
-    Feeding this value back as a training seed reproduces exactly the data
-    the replication saw, which keeps vectorized replication loops and
-    single-shot ``sample_training`` calls interchangeable.
+    The replication's training streams are derived from this seed alone, so
+    its data can be regenerated without running any other replication.
     """
     return derive_key(master_seed, STREAM_REPLICATION, replication_index)
 

@@ -2,22 +2,21 @@
 
 A replication draws a fresh training set, fits both machine predictors, and
 realizes all decision rules. Because every rule depends on the data only
-through the per-cell training averages, the engine simulates those averages
-directly and evaluates the rules as array operations across replications.
+through the per-cell training averages, the engine keeps only those averages
+and evaluates the rules as array operations across replications.
 
-Determinism contract: replication ``r`` under master seed ``s`` uses the
-derived seed ``replication_seed(s, r)`` and reproduces, draw for draw, the
-training set that ``sample_training`` would produce under that seed. Work is
-split into fixed-size chunks whose boundaries depend only on the problem
-shape, and each chunk writes into a preallocated slice of the output, so
-results are identical whatever the worker-thread count.
+Determinism contract: replication ``r`` under master seed ``s`` owns the
+derived seed ``k = replication_seed(s, r)``. Its ``n(x, g)`` labels in cell
+``(x, g)`` are the draws of ``rng.normal_stream(derive_key(k, STREAM_TRAINING,
+cell_index), n(x, g))``, scaled to ``Normal(mu(x, g), noise_var)``, and its
+cell mean is their average. Replications are processed in fixed-size chunks
+to bound memory; chunk boundaries depend only on the problem shape, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -42,33 +41,14 @@ from .model import (
 )
 
 __all__ = [
-    "resolve_threads",
     "replicate_cell_means",
     "rule_values_from_cell_means",
     "replicate_rule_values",
 ]
 
-THREADS_ENV = "ASSISTFAIR_THREADS"
 _CHUNK_DRAWS = 1 << 22
 _MIN_CHUNK_REPS = 256
 _MAX_CHUNK_REPS = 1 << 16
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """Worker count: the request (default 1), capped by ASSISTFAIR_THREADS."""
-    cap_text = os.environ.get(THREADS_ENV)
-    cap = None
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {cap_text!r}")
-        if cap < 1:
-            raise ConfigError(f"{THREADS_ENV} must be at least 1")
-    workers = requested if requested is not None else (cap if cap is not None else 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, workers)
 
 
 def _chunk_reps(max_cell_count: int) -> int:
@@ -76,8 +56,7 @@ def _chunk_reps(max_cell_count: int) -> int:
     return max(_MIN_CHUNK_REPS, min(_MAX_CHUNK_REPS, per))
 
 
-def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int,
-                         *, threads: int | None = None) -> Mapping:
+def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -> Mapping:
     """Per-cell training averages for ``reps`` independent replications.
 
     Returns {(x, g): float array of length reps} covering every cell with a
@@ -93,8 +72,7 @@ def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int,
         return out
     sd = math.sqrt(spec.noise_var)
     chunk = _chunk_reps(max(config.count(x, g) for x, g in cells))
-
-    def fill(start: int) -> None:
+    for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         rep_ids = np.arange(start, stop, dtype=np.uint64)
         seeds = rng.replication_seed(config.seed, rep_ids)
@@ -102,15 +80,6 @@ def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int,
             keys = rng.derive_key(seeds, rng.STREAM_TRAINING, spec.cell_index(x, g))
             draws = rng.normal_block(keys, config.count(x, g), mean=spec.mu(x, g), sd=sd)
             out[(x, g)][start:stop] = draws.mean(axis=1)
-
-    starts = range(0, reps, chunk)
-    workers = resolve_threads(threads)
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for s in starts:
-            fill(s)
     return out
 
 
@@ -181,12 +150,11 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
 
 
 def replicate_rule_values(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                          rule_kinds: Iterable, reps: int,
-                          *, threads: int | None = None) -> Mapping:
+                          rule_kinds: Iterable, reps: int) -> Mapping:
     """Replicated decision values for the requested rules.
 
     Convenience composition of replicate_cell_means and
     rule_values_from_cell_means.
     """
-    cell_means = replicate_cell_means(spec, config, reps, threads=threads)
+    cell_means = replicate_cell_means(spec, config, reps)
     return rule_values_from_cell_means(spec, prior, config, cell_means, rule_kinds)

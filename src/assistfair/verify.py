@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .decisions import check_delta_disparate
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 from .metrics import mc_expected_metrics, pointwise_risk
 from .model import (
     ConjugateNormalPrior,
@@ -178,6 +178,11 @@ def _resolve_deltas(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     return out
 
 
+def _require_se_reps(claim_id: str, reps: int) -> None:
+    if reps < 2:
+        raise ConfigError(f"{claim_id} needs reps >= 2 for its standard errors, got {reps}")
+
+
 def _require_counts(spec: ProblemSpec, config: TrainingConfig) -> None:
     for x, g in spec.cells():
         if config.count(x, g) < 1:
@@ -219,8 +224,7 @@ def _disparity_arrays(values: Mapping, x) -> dict:
 
 
 def verify_disparity_reversal(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                              reps: int, *, delta: float | None = None,
-                              threads: int | None = None) -> VerificationOutcome:
+                              reps: int, *, delta: float | None = None) -> VerificationOutcome:
     """Disparity reversal: d+ falls below the believed disparity, blind stays at it.
 
     Per replication and covariate value the chain is
@@ -231,7 +235,7 @@ def verify_disparity_reversal(spec: ProblemSpec, prior: Prior, config: TrainingC
     deltas = _resolve_deltas(spec, prior, config, delta)
     _gap_preconditions(spec, deltas, strict_lower=False)
     kinds = [RuleKind.D0, RuleKind.D_MINUS, RuleKind.D_PLUS]
-    values = replicate_rule_values(spec, prior, config, kinds, reps, threads=threads)
+    values = replicate_rule_values(spec, prior, config, kinds, reps)
     ok = np.ones(reps, dtype=bool)
     per_inequality = {}
     for x in spec.covariates:
@@ -262,8 +266,7 @@ _REORDER_PAIRS = (
 
 
 def verify_reordering(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                      reps: int, *, delta: float | None = None,
-                      threads: int | None = None) -> VerificationOutcome:
+                      reps: int, *, delta: float | None = None) -> VerificationOutcome:
     """Two-tier absolute-disparity ordering.
 
     Per replication: |disparity| of d- and d0 strictly above that of d+ and
@@ -273,8 +276,7 @@ def verify_reordering(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     _require_counts(spec, config)
     deltas = _resolve_deltas(spec, prior, config, delta)
     _gap_preconditions(spec, deltas, strict_lower=False)
-    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps,
-                                   threads=threads)
+    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps)
     ok = np.ones(reps, dtype=bool)
     per_inequality = {}
     for x in spec.covariates:
@@ -291,8 +293,7 @@ def verify_reordering(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
 
 
 def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                             reps: int, *, delta: float | None = None,
-                             threads: int | None = None) -> VerificationOutcome:
+                             reps: int, *, delta: float | None = None) -> VerificationOutcome:
     """Trade-off reversal: assistance beats blind assistance on both axes.
 
     Per replication and covariate value:
@@ -303,8 +304,7 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
     _require_counts(spec, config)
     deltas = _resolve_deltas(spec, prior, config, delta)
     _gap_preconditions(spec, deltas, strict_lower=True)
-    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps,
-                                   threads=threads)
+    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps)
     ok = np.ones(reps, dtype=bool)
     per_inequality = {}
     balance = {}
@@ -339,18 +339,18 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
     )
 
 
-def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x, reps: int,
-                           *, threads: int | None = None) -> VerificationOutcome:
+def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
+                           reps: int) -> VerificationOutcome:
     """Regime claim for the automated rules at one covariate value.
 
     Monte Carlo risk estimates must land within 3 standard errors of the
     closed forms and their difference must carry the oracle regime's sign.
     """
+    _require_se_reps("remark3", reps)
     validate_spec(spec)
     regime = classify_regime(spec, config, x)
     values = replicate_rule_values(spec, None, config,
-                                   [RuleKind.F_PLUS, RuleKind.F_MINUS], reps,
-                                   threads=threads)
+                                   [RuleKind.F_PLUS, RuleKind.F_MINUS], reps)
     risk = {}
     for kind in (RuleKind.F_PLUS, RuleKind.F_MINUS):
         risk[kind] = sum(
@@ -398,8 +398,7 @@ def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x, reps: i
 
 
 def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
-                   config: TrainingConfig, reps: int,
-                   *, threads: int | None = None) -> VerificationOutcome:
+                   config: TrainingConfig, reps: int) -> VerificationOutcome:
     """Disparity reversal in expectation under the balanced example.
 
     Exact per replication: blind-rule disparity is zero and the disparities
@@ -409,6 +408,7 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
     3 SE and stays below delta, while the mean disparity of f+ is
     non-negative within 3 SE.
     """
+    _require_se_reps("remark1", reps)
     validate_spec(spec)
     params = derive_example_params(spec, prior, config)
     if not params.delta > params.delta_mu >= 0:
@@ -417,8 +417,7 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
             f"delta_mu={params.delta_mu!r}"
         )
     x = spec.covariates[0]
-    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps,
-                                   threads=threads)
+    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps)
     disp = _disparity_arrays(values, x)
     f_minus_zero = disp[RuleKind.F_MINUS] == 0.0
     d_minus_exact = np.abs(disp[RuleKind.D_MINUS] - params.delta) <= EXACT_TOL
@@ -474,8 +473,7 @@ def _example_problem(sigma_sq: float, n: int, delta_mu: float, mu_bar: float,
 
 def verify_remark2(sigma_sq: float, tau_sq: float, n: int, delta_mu: float,
                    reps: int, seed: int, *, offset: float = 0.25,
-                   beta_bar: float = 0.0, mu_bar: float = 0.0,
-                   threads: int | None = None) -> VerificationOutcome:
+                   beta_bar: float = 0.0, mu_bar: float = 0.0) -> VerificationOutcome:
     """Assistance risk threshold in the prior gap.
 
     The closed forms tie at delta* = delta_mu + 2*tau*sigma/sqrt(n*tau_sq +
@@ -483,6 +481,7 @@ def verify_remark2(sigma_sq: float, tau_sq: float, n: int, delta_mu: float,
     the closed forms within 3 SE and order the two assisted risks
     accordingly: aware better above the threshold, worse below it.
     """
+    _require_se_reps("remark2", reps)
     threshold = delta_threshold_example(sigma_sq, tau_sq, n, delta_mu)
     margin = threshold - delta_mu
     if not 0.0 < offset < margin:
@@ -513,8 +512,7 @@ def verify_remark2(sigma_sq: float, tau_sq: float, n: int, delta_mu: float,
         oracle = example_closed_forms(sigma_sq, tau_sq, n, delta, delta_mu,
                                       beta_bar, mu_bar)
         report = mc_expected_metrics(spec, prior, config,
-                                     [RuleKind.D_MINUS, RuleKind.D_PLUS],
-                                     reps, threads=threads)
+                                     [RuleKind.D_MINUS, RuleKind.D_PLUS], reps)
         est = {kind: report.rule(kind).expected_risk
                for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS)}
         within = all(
@@ -554,8 +552,7 @@ def _truth_in_support(prior: GridPrior, spec: ProblemSpec) -> bool:
 
 
 def verify_consistency(prior: GridPrior, spec: ProblemSpec, n_grid: Sequence,
-                       reps: int, seed: int,
-                       *, threads: int | None = None) -> ConsistencyResult:
+                       reps: int, seed: int) -> ConsistencyResult:
     """Median |d+ - mu| across replications for each per-cell sample size.
 
     Posterior consistency predicts the medians shrink as cells grow,
@@ -574,8 +571,8 @@ def verify_consistency(prior: GridPrior, spec: ProblemSpec, n_grid: Sequence,
             counts={cell: int(n_cell) for cell in spec.cells()},
             seed=rng.derive_key(seed, rng.STREAM_SCENARIO, i),
         )
-        values = replicate_rule_values(spec, prior, config, [RuleKind.D_PLUS], reps,
-                                       threads=threads)[RuleKind.D_PLUS]
+        values = replicate_rule_values(spec, prior, config, [RuleKind.D_PLUS],
+                                       reps)[RuleKind.D_PLUS]
         errors = np.concatenate([
             np.abs(values[(x, g)] - spec.mu(x, g)) for x, g in spec.cells()
         ])

@@ -8,7 +8,6 @@ measured numbers (visible with ``-s`` or on failure).
 import csv
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -45,12 +44,9 @@ def balanced_config(half, seed=SEED):
     return af.TrainingConfig(counts={("x0", 0): half, ("x0", 1): half}, seed=seed)
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "assistfair.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 ORACLE_DISPARITY = {
@@ -66,7 +62,7 @@ ORACLE_RISK = {
 def test_criterion_01_table_reproduction_200k_reps():
     start = time.perf_counter()
     rep = af.mc_expected_metrics(canonical_spec(), canonical_prior(),
-                                 balanced_config(4), None, 200000, threads=1)
+                                 balanced_config(4), None, 200000)
     elapsed = time.perf_counter() - start
     worst_z, max_se = 0.0, 0.0
     ok = elapsed <= 60.0
@@ -211,11 +207,9 @@ def test_criterion_10_byte_identical_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config), encoding="utf-8")
     blobs = []
-    for name, threads in (("a", None), ("b", None), ("t1", "1"), ("t4", "4")):
+    for name in ("a", "b"):
         out = tmp_path / name
-        env = {"ASSISTFAIR_THREADS": threads} if threads else None
-        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out),
-                       env_extra=env)
+        proc = run_cli("simulate", "--config", str(cfg), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         blobs.append((out / "metrics.csv").read_bytes()
                      + (out / "metrics.json").read_bytes())
@@ -226,4 +220,4 @@ def test_criterion_10_byte_identical_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr
         verify_blobs.append((out / "verify_thm1.json").read_bytes())
     ok = all(b == blobs[0] for b in blobs) and verify_blobs[0] == verify_blobs[1]
-    report(10, "identical bytes across reruns and worker-thread counts", ok)
+    report(10, "identical bytes across reruns", ok)

@@ -2,11 +2,12 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
 import pytest
+
+from assistfair.cli import main, write_json
 
 BASE_CONFIG = {
     "covariates": ["x0"],
@@ -21,12 +22,9 @@ BASE_CONFIG = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "assistfair.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def write_config(path, **overrides):
@@ -34,6 +32,13 @@ def write_config(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc), encoding="utf-8")
     return path
+
+
+def assert_usage_error(code, capsys):
+    """Exit 2 with a single ``error:`` line on stderr."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSimulate:
@@ -72,6 +77,23 @@ class TestSimulate:
         proc = run_cli("simulate", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"reps": "abc"},
+        {"counts": {"x0": [4]}},
+        {"true_means": {"x0": [0.0, 0.0], "x9": [0.0, 0.0]}},
+        {"prior": [1, 2]},
+        {"counts": {"x0": [4.5, 4]}},
+        {"noise_var": float("inf")},
+        {"noise_var": 10**400},
+    ], ids=["reps-string", "counts-one-element", "unknown-covariate", "prior-list",
+            "counts-fractional", "noise-var-infinity", "noise-var-beyond-float"])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
     def test_invalid_json_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{nope", encoding="utf-8")
@@ -104,23 +126,6 @@ class TestDeterminism:
         assert (outs[0] / "metrics.json").read_bytes() == (
             outs[1] / "metrics.json").read_bytes()
 
-    def test_thread_cap_does_not_change_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        blobs = []
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}"
-            proc = run_cli("simulate", "--config", str(cfg), "--out", str(out),
-                           env_extra={"ASSISTFAIR_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            blobs.append((out / "metrics.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
-    def test_bad_thread_env_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json")
-        proc = run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                       env_extra={"ASSISTFAIR_THREADS": "zero"})
-        assert proc.returncode == 2
-
 
 class TestClosedForm:
     def test_default_parameters_emit_table(self, tmp_path):
@@ -133,6 +138,22 @@ class TestClosedForm:
         text = (out / "closed_form.txt").read_text()
         assert "d+" in text
         assert proc.stdout.strip()
+
+    @pytest.mark.parametrize("flag, value", [("--sigma-sq", "inf"), ("--tau-sq", "-inf"),
+                                             ("--delta", "nan"), ("--mu-bar", "nan")])
+    def test_non_finite_flags_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "cf"
+        with pytest.raises(SystemExit) as exc:
+            main(["closed-form", f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"value": float("nan")})
+        assert not path.exists()
 
     def test_odd_n_exits_2(self):
         proc = run_cli("closed-form", "--n", "7")
@@ -188,6 +209,22 @@ class TestVerify:
         payload = json.loads((out / "verify_consistency.json").read_text())
         assert payload["passed"] is True
         assert payload["n_grid"] == [10, 100, 1000]
+
+    @pytest.mark.parametrize("claim", ["remark1", "remark2", "remark3"])
+    def test_standard_error_claims_reject_one_rep(self, tmp_path, capsys, claim):
+        out = tmp_path / "v"
+        code = main(["verify", claim, "--reps", "1", "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "-0.2", "nan"])
+    def test_level_outside_unit_interval_exits_2(self, tmp_path, capsys, level):
+        out = tmp_path / "v"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "thm1", "--reps", "20", "--level", level, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "must lie in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("verify", "nonsense")

@@ -233,22 +233,6 @@ class TestGridPosteriors:
             af.grid_posterior_aware(prior, 1e300, 4, 1.0, "x0", 1)
 
 
-class TestDecideCell:
-    def test_dispatch_matches_direct_calls(self):
-        prior = conjugate_prior(-0.5, 0.5)
-        none = af.decide_cell(prior, "x0", 1)
-        assert none.mean == af.decide_unassisted(prior, "x0", 1)
-        assert none.signal_kind is af.SignalKind.NONE
-        aware = af.decide_cell(prior, "x0", 1, signal_kind=af.SignalKind.AWARE,
-                               signal=1.0, counts=(4, 4), sigma_sq=1.0)
-        assert aware.mean == af.decide_assisted_aware_conjugate(prior, 1.0, 4, 1.0,
-                                                                "x0", 1)
-        blind = af.decide_cell(prior, "x0", 0, signal_kind=af.SignalKind.BLIND,
-                               signal=1.0, counts=(4, 4), sigma_sq=1.0)
-        assert blind.mean == af.decide_assisted_blind_conjugate(prior, 1.0, (4, 4),
-                                                                1.0, "x0", 0)
-
-
 class TestDeltaDisparate:
     def test_balanced_conjugate_infimum_is_prior_gap(self):
         check = af.check_delta_disparate(conjugate_prior(-0.5, 0.5), (4, 4), "x0")
@@ -279,40 +263,45 @@ class TestDeltaDisparate:
 
 
 class TestRealizeRules:
+    """The engine's realization of the decision rules from fixed cell means."""
+
+    SPEC = af.ProblemSpec(
+        covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
+        true_means={("x0", 0): -0.1, ("x0", 1): 0.1}, noise_var=1.0)
+    CELL_MEANS = {("x0", 0): np.asarray([-0.4, 0.1, 0.9]),
+                  ("x0", 1): np.asarray([0.3, -0.2, 1.1])}
+
+    def realize(self, prior, n1, n0, kinds=tuple(af.RuleKind)):
+        config = af.TrainingConfig(counts={("x0", 0): n0, ("x0", 1): n1}, seed=31)
+        return af.rule_values_from_cell_means(self.SPEC, prior, config,
+                                              self.CELL_MEANS, kinds)
+
     def test_consistent_with_direct_decisions(self):
-        spec = af.ProblemSpec(
-            covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
-            true_means={("x0", 0): -0.1, ("x0", 1): 0.1}, noise_var=1.0)
         prior = conjugate_prior(-0.5, 0.5)
-        config = af.TrainingConfig(counts={("x0", 0): 3, ("x0", 1): 5}, seed=31)
-        training = af.sample_training(spec, config)
-        blind = af.fit_group_blind(training, spec)
-        aware = af.fit_group_aware(training, spec)
-        rules = af.realize_rules(spec, prior, config, blind, aware)
+        rules = self.realize(prior, 5, 3)
         assert set(rules) == set(af.RuleKind)
-        assert rules[af.RuleKind.F_MINUS].value("x0", 0) == rules[
-            af.RuleKind.F_MINUS].value("x0", 1)
-        assert rules[af.RuleKind.D0].value("x0", 1) == 0.5
-        expected_plus = af.decide_assisted_aware_conjugate(
-            prior, aware.predict("x0", 1), 5, 1.0, "x0", 1)
-        assert rules[af.RuleKind.D_PLUS].value("x0", 1) == expected_plus
-        expected_minus = af.decide_assisted_blind_conjugate(
-            prior, blind.predict("x0"), (5, 3), 1.0, "x0", 0)
-        assert rules[af.RuleKind.D_MINUS].value("x0", 0) == expected_minus
+        f_minus = rules[af.RuleKind.F_MINUS]
+        assert np.array_equal(f_minus[("x0", 0)], f_minus[("x0", 1)])
+        for g in (0, 1):
+            assert np.all(rules[af.RuleKind.D0][("x0", g)] == prior.beta[("x0", g)])
+            assert np.array_equal(rules[af.RuleKind.F_PLUS][("x0", g)],
+                                  self.CELL_MEANS[("x0", g)])
+            n_cell = 5 if g else 3
+            for i, signal in enumerate(self.CELL_MEANS[("x0", g)]):
+                assert rules[af.RuleKind.D_PLUS][("x0", g)][i] == (
+                    af.decide_assisted_aware_conjugate(prior, signal, n_cell, 1.0, "x0", g))
+            for i, signal in enumerate(f_minus[("x0", g)]):
+                assert rules[af.RuleKind.D_MINUS][("x0", g)][i] == (
+                    af.decide_assisted_blind_conjugate(prior, signal, (5, 3), 1.0, "x0", g))
 
     def test_grid_prior_path(self):
-        spec = af.ProblemSpec(
-            covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
-            true_means={("x0", 0): -0.1, ("x0", 1): 0.1}, noise_var=1.0)
         conj = conjugate_prior(-0.5, 0.5)
         grid = af.dense_grid_from_conjugate(conj, ["x0"])
-        config = af.TrainingConfig(counts={("x0", 0): 4, ("x0", 1): 4}, seed=13)
-        training = af.sample_training(spec, config)
-        blind = af.fit_group_blind(training, spec)
-        aware = af.fit_group_aware(training, spec)
-        via_grid = af.realize_rules(spec, grid, config, blind, aware)
-        via_conj = af.realize_rules(spec, conj, config, blind, aware)
-        for kind in (af.RuleKind.D_MINUS, af.RuleKind.D_PLUS):
-            for cell in spec.cells():
-                assert abs(via_grid[kind].value(*cell)
-                           - via_conj[kind].value(*cell)) < 1e-6
+        kinds = (af.RuleKind.D_MINUS, af.RuleKind.D_PLUS)
+        for n1, n0 in ((4, 4), (5, 3)):
+            via_grid = self.realize(grid, n1, n0, kinds)
+            via_conj = self.realize(conj, n1, n0, kinds)
+            for kind in kinds:
+                for cell in self.SPEC.cells():
+                    gap = np.abs(via_grid[kind][cell] - via_conj[kind][cell])
+                    assert gap.max() < 1e-6

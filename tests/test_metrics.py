@@ -35,9 +35,13 @@ class TestFunctionals:
             covariates=("a",), covariate_probs={"a": 1.0}, group_probs={"a": 0.25},
             true_means={("a", 0): 0.0, ("a", 1): 1.0}, noise_var=0.5,
         )
-        rule = af.DecisionRule(kind=af.RuleKind.D0, values={("a", 0): 0.5, ("a", 1): 0.5})
+        prior = af.ConjugateNormalPrior(beta={("a", 0): 0.5, ("a", 1): 0.5}, tau_sq=1.0)
+        config = af.TrainingConfig(counts={("a", 0): 1, ("a", 1): 1}, seed=0)
+        stats = af.mc_expected_metrics(spec, prior, config, [af.RuleKind.D0], 2).rule(
+            af.RuleKind.D0)
         want = 0.75 * (0.25 + 0.5) + 0.25 * (0.25 + 0.5)
-        assert af.risk_at_x(rule, spec, "a") == pytest.approx(want)
+        assert stats.risk_by_x["a"].value == pytest.approx(want)
+        assert stats.risk0_by_cell[("a", 1)].value == pytest.approx(0.25 + 0.5)
 
     def test_disparity_and_average(self):
         spec = af.ProblemSpec(
@@ -46,11 +50,14 @@ class TestFunctionals:
             true_means={("a", 0): 0.0, ("a", 1): 0.0, ("b", 0): 0.0, ("b", 1): 0.0},
             noise_var=1.0,
         )
-        rule = af.DecisionRule(kind=af.RuleKind.D0, values={
-            ("a", 0): 0.0, ("a", 1): 1.0, ("b", 0): 0.5, ("b", 1): 0.3})
-        assert af.disparity(rule, "a") == pytest.approx(1.0)
-        assert af.disparity(rule, "b") == pytest.approx(-0.2)
-        assert af.avg_disparity(rule, spec) == pytest.approx(0.25 * 1.0 + 0.75 * -0.2)
+        prior = af.ConjugateNormalPrior(beta={
+            ("a", 0): 0.0, ("a", 1): 1.0, ("b", 0): 0.5, ("b", 1): 0.3}, tau_sq=1.0)
+        config = af.TrainingConfig(counts={cell: 1 for cell in spec.cells()}, seed=0)
+        stats = af.mc_expected_metrics(spec, prior, config, [af.RuleKind.D0], 2).rule(
+            af.RuleKind.D0)
+        assert stats.disparity_by_x["a"].value == pytest.approx(1.0)
+        assert stats.disparity_by_x["b"].value == pytest.approx(-0.2)
+        assert stats.avg_disparity.value == pytest.approx(0.25 * 1.0 + 0.75 * -0.2)
 
 
 class TestMonteCarloReport:
@@ -74,17 +81,6 @@ class TestMonteCarloReport:
         stats = report.rule(af.RuleKind.D0)
         assert stats.avg_disparity.value == pytest.approx(1.0, abs=1e-12)
         assert stats.expected_risk.se == pytest.approx(0.0, abs=1e-12)
-
-    def test_thread_count_does_not_change_values(self):
-        args = (canonical_spec(mu0=-0.2, mu1=0.4), canonical_prior(),
-                canonical_config(half=6), None, 400)
-        one = af.mc_expected_metrics(*args, threads=1)
-        four = af.mc_expected_metrics(*args, threads=4)
-        for kind in af.RuleKind:
-            a, b = one.rule(kind), four.rule(kind)
-            assert a.expected_risk.value == b.expected_risk.value
-            assert a.avg_disparity.value == b.avg_disparity.value
-            assert a.expected_risk.se == b.expected_risk.se
 
     def test_se_shrinks_like_root_reps(self):
         spec, prior = canonical_spec(), canonical_prior()

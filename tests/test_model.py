@@ -85,54 +85,43 @@ class TestSpecAccessors:
         assert spec.p_group("b", 1) == pytest.approx(0.3)
         assert spec.p_group("b", 0) == pytest.approx(0.7)
 
-    def test_weighted_mean_mu(self):
-        spec = two_x_spec()
-        cfg = af.TrainingConfig(
-            counts={("a", 0): 2, ("a", 1): 6, ("b", 0): 1, ("b", 1): 1}, seed=0)
-        assert af.weighted_mean_mu(spec, cfg, "a") == pytest.approx(6 / 8 * 1.0)
-
 
 class TestTraining:
-    def test_sample_training_reproducible(self):
-        spec = two_x_spec()
-        cfg = af.TrainingConfig(
-            counts={("a", 0): 3, ("a", 1): 2, ("b", 0): 4, ("b", 1): 1}, seed=99)
-        one = af.sample_training(spec, cfg)
-        two = af.sample_training(spec, cfg)
-        assert one.records == two.records
-        assert one.counts == cfg.counts
+    """The cell-mean contract stated in the simulate module's docstring."""
 
-    def test_sample_training_uses_per_cell_streams(self):
-        spec = two_x_spec()
-        cfg = af.TrainingConfig(
-            counts={("a", 0): 5, ("a", 1): 5, ("b", 0): 5, ("b", 1): 5}, seed=4)
-        ts = af.sample_training(spec, cfg)
-        key = rng.derive_key(4, rng.STREAM_TRAINING, spec.cell_index("b", 1))
-        expected = rng.normal_stream(key, 5, mean=spec.mu("b", 1),
-                                     sd=math.sqrt(spec.noise_var))
-        assert np.allclose(ts.ys("b", 1), expected, rtol=0, atol=0)
+    COUNTS = {("a", 0): 3, ("a", 1): 2, ("b", 0): 4, ("b", 1): 1}
 
-    def test_training_set_pools_groups(self):
-        ts = af.TrainingSet(records=(("a", 0, 1.0), ("a", 1, 3.0), ("a", 0, 2.0)))
-        assert sorted(ts.ys("a")) == [1.0, 2.0, 3.0]
-        assert ts.ys("a", 1) == [3.0]
-        assert ts.counts[("a", 0)] == 2
+    def test_cell_means_reproducible(self):
+        spec = two_x_spec()
+        cfg = af.TrainingConfig(counts=self.COUNTS, seed=99)
+        one = af.replicate_cell_means(spec, cfg, 700)
+        two = af.replicate_cell_means(spec, cfg, 700)
+        assert set(one) == set(self.COUNTS)
+        for cell in self.COUNTS:
+            assert one[cell].tobytes() == two[cell].tobytes()
+
+    def test_cell_means_use_per_cell_streams(self):
+        spec = two_x_spec()
+        cfg = af.TrainingConfig(counts=self.COUNTS, seed=4)
+        reps = (1 << 16) + 64  # replications run in chunks of 2**16 at these counts
+        means = af.replicate_cell_means(spec, cfg, reps)
+        sd = math.sqrt(spec.noise_var)
+        for r in (0, 1, (1 << 16) - 1, 1 << 16, reps - 1):
+            seed = rng.replication_seed(4, r)
+            for (x, g), n in self.COUNTS.items():
+                key = rng.derive_key(seed, rng.STREAM_TRAINING, spec.cell_index(x, g))
+                labels = rng.normal_stream(key, n, mean=spec.mu(x, g), sd=sd)
+                assert abs(means[(x, g)][r] - labels.mean()) <= 1e-12
 
     def test_cell_mean_distribution(self):
         spec = example_spec(mu0=-1.0, mu1=2.0)
-        cfg = af.TrainingConfig(counts={("x0", 0): 4000, ("x0", 1): 4000}, seed=8)
-        ts = af.sample_training(spec, cfg)
-        se = 1.0 / math.sqrt(4000)
-        assert abs(np.mean(ts.ys("x0", 0)) - (-1.0)) < 4 * se
-        assert abs(np.mean(ts.ys("x0", 1)) - 2.0) < 4 * se
-
-    def test_deployment_group_frequency(self):
-        spec = two_x_spec()
-        draws = af.sample_deployment_group(spec, "b", seed=3, size=20000)
-        assert set(np.unique(draws)) <= {0, 1}
-        assert abs(draws.mean() - 0.3) < 4 * math.sqrt(0.3 * 0.7 / 20000)
-        again = af.sample_deployment_group(spec, "b", seed=3, size=20000)
-        assert np.array_equal(draws, again)
+        cfg = af.TrainingConfig(counts={("x0", 0): 40, ("x0", 1): 40}, seed=8)
+        reps = 4000
+        means = af.replicate_cell_means(spec, cfg, reps)
+        se = 1.0 / math.sqrt(40 * reps)
+        assert abs(means[("x0", 0)].mean() - (-1.0)) < 4 * se
+        assert abs(means[("x0", 1)].mean() - 2.0) < 4 * se
+        assert means[("x0", 1)].var(ddof=1) == pytest.approx(1.0 / 40, rel=0.1)
 
 
 class TestExampleParams:
@@ -163,16 +152,6 @@ class TestExampleParams:
 
 
 class TestDecisionRule:
-    def test_blind_rule_must_ignore_group(self):
-        with pytest.raises(af.SpecValidationError):
-            af.DecisionRule(kind=af.RuleKind.F_MINUS,
-                            values={("a", 0): 1.0, ("a", 1): 2.0})
-
-    def test_missing_cell_raises(self):
-        rule = af.DecisionRule(kind=af.RuleKind.D0, values={("a", 0): 1.0, ("a", 1): 1.0})
-        with pytest.raises(af.EmptyCellError):
-            rule.value("b", 0)
-
     def test_rule_kind_from_name(self):
         assert af.RuleKind.from_name("d_plus") is af.RuleKind.D_PLUS
         with pytest.raises(af.SpecValidationError):

@@ -1,5 +1,6 @@
-"""Fitted cell-mean predictors, blind and aware."""
+"""The machine predictors, blind (f-) and aware (f+), as the engine realizes them."""
 
+import numpy as np
 import pytest
 
 import assistfair as af
@@ -14,56 +15,52 @@ def tiny_spec():
     )
 
 
-def tiny_training():
-    return af.TrainingSet(records=(
-        ("a", 0, 1.0), ("a", 0, 3.0), ("a", 1, 5.0),
-        ("b", 1, -2.0), ("b", 1, -4.0),
-    ))
+def tiny_config(**overrides):
+    """Cell ("b", 0) is empty unless ``b0`` is given."""
+    counts = {("a", 0): 2, ("a", 1): 1, ("b", 0): overrides.get("b0", 0),
+              ("b", 1): overrides.get("b1", 2)}
+    return af.TrainingConfig(counts=counts, seed=21)
+
+
+# per-cell label averages of two replications
+TINY_MEANS = {("a", 0): np.asarray([2.0, 0.0]), ("a", 1): np.asarray([5.0, -3.0]),
+              ("b", 1): np.asarray([-3.0, 1.0])}
+
+
+def machine_values(config, means, kind):
+    return af.rule_values_from_cell_means(tiny_spec(), None, config, means, [kind])[kind]
 
 
 def test_group_blind_pools_both_groups():
-    blind = af.fit_group_blind(tiny_training(), tiny_spec())
-    assert not blind.aware
-    assert blind.predict("a") == pytest.approx(3.0)
-    assert blind.predict("a", 0) == blind.predict("a", 1) == blind.predict("a")
-    assert blind.predict("b") == pytest.approx(-3.0)
-    assert blind.counts["a"] == 3
+    blind = machine_values(tiny_config(), TINY_MEANS, af.RuleKind.F_MINUS)
+    assert np.allclose(blind[("a", 0)], [3.0, -1.0], rtol=0, atol=1e-15)
+    assert np.array_equal(blind[("a", 0)], blind[("a", 1)])
+    assert np.allclose(blind[("b", 0)], [-3.0, 1.0], rtol=0, atol=1e-15)
 
 
 def test_group_aware_splits_cells():
-    aware = af.fit_group_aware(tiny_training(), tiny_spec())
-    assert aware.aware
-    assert aware.predict("a", 0) == pytest.approx(2.0)
-    assert aware.predict("a", 1) == pytest.approx(5.0)
-    assert aware.counts[("b", 1)] == 2
+    means = {**TINY_MEANS, ("b", 0): np.asarray([4.0, 4.5])}
+    aware = machine_values(tiny_config(b0=1), means, af.RuleKind.F_PLUS)
+    for cell, arr in means.items():
+        assert np.array_equal(aware[cell], arr)
 
 
 def test_empty_cell_messages():
-    aware = af.fit_group_aware(tiny_training(), tiny_spec())
     with pytest.raises(af.EmptyCellError, match=r"empty cell \('b', 0\)"):
-        aware.predict("b", 0)
-    blind = af.fit_group_blind(af.TrainingSet(records=()), tiny_spec())
-    with pytest.raises(af.EmptyCellError, match="undefined at x='a'"):
-        blind.predict("a")
+        machine_values(tiny_config(), TINY_MEANS, af.RuleKind.F_PLUS)
+    with pytest.raises(af.EmptyCellError, match="needs observations at x='b'"):
+        machine_values(tiny_config(b1=0), TINY_MEANS, af.RuleKind.F_MINUS)
 
 
 def test_blind_is_count_weighted_aware():
     spec = tiny_spec()
     cfg = af.TrainingConfig(
         counts={("a", 0): 3, ("a", 1): 7, ("b", 0): 5, ("b", 1): 5}, seed=21)
-    training = af.sample_training(spec, cfg)
-    blind = af.fit_group_blind(training, spec)
-    aware = af.fit_group_aware(training, spec)
+    values = af.replicate_rule_values(spec, None, cfg,
+                                      [af.RuleKind.F_MINUS, af.RuleKind.F_PLUS], 50)
+    blind, aware = values[af.RuleKind.F_MINUS], values[af.RuleKind.F_PLUS]
     for x in spec.covariates:
         n0, n1 = cfg.count(x, 0), cfg.count(x, 1)
-        mixed = (n0 * aware.predict(x, 0) + n1 * aware.predict(x, 1)) / (n0 + n1)
-        assert blind.predict(x) == pytest.approx(mixed, abs=1e-12)
-
-
-def test_to_document_is_sorted_and_complete():
-    aware = af.fit_group_aware(tiny_training(), tiny_spec())
-    doc = aware.to_document()
-    assert doc["aware"] is True
-    keys = [tuple(p["key"]) for p in doc["points"]]
-    assert keys == sorted(keys, key=repr)
-    assert {tuple(p["key"]) for p in doc["points"]} == set(aware.values)
+        mixed = (n0 * aware[(x, 0)] + n1 * aware[(x, 1)]) / (n0 + n1)
+        for g in (0, 1):
+            assert np.allclose(blind[(x, g)], mixed, rtol=0, atol=1e-12)

@@ -214,11 +214,3 @@ class TestDeterminism:
                                          balanced_config(20), 200)
         assert a.success_fraction == b.success_fraction
         assert a.per_inequality == b.per_inequality
-
-    def test_threads_do_not_change_outcome(self):
-        a = af.verify_tradeoff_reversal(single_x_spec(0.5), biased_prior(),
-                                        balanced_config(50), 300, threads=1)
-        b = af.verify_tradeoff_reversal(single_x_spec(0.5), biased_prior(),
-                                        balanced_config(50), 300, threads=4)
-        assert a.success_fraction == b.success_fraction
-        assert a.per_inequality == b.per_inequality
