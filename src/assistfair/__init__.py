@@ -8,15 +8,6 @@ seeded Monte Carlo, evaluates the balanced example's closed forms exactly,
 and verifies the ordering and trade-off claims empirically.
 """
 
-from .decisions import (
-    DisparityCheck,
-    check_delta_disparate,
-    decide_assisted_aware_conjugate,
-    decide_assisted_blind_conjugate,
-    decide_unassisted,
-    grid_posterior_aware,
-    grid_posterior_blind,
-)
 from .errors import (
     AssistFairError,
     ConfigError,
@@ -93,7 +84,6 @@ __all__ = [
     "ConjugateNormalPrior",
     "ConsistencyResult",
     "DerivedExampleParams",
-    "DisparityCheck",
     "EmptyCellError",
     "Estimate",
     "GridPrior",
@@ -110,12 +100,8 @@ __all__ = [
     "TrainingConfig",
     "VerificationOutcome",
     "bias_variance_decomp",
-    "check_delta_disparate",
     "classify_regime",
     "config_to_document",
-    "decide_assisted_aware_conjugate",
-    "decide_assisted_blind_conjugate",
-    "decide_unassisted",
     "delta_threshold_example",
     "dense_grid_from_conjugate",
     "derive_example_params",
@@ -124,8 +110,6 @@ __all__ = [
     "document_to_prior",
     "document_to_spec",
     "example_closed_forms",
-    "grid_posterior_aware",
-    "grid_posterior_blind",
     "machine_risk_expectations",
     "mc_expected_metrics",
     "normal_marginal_grid",

@@ -31,6 +31,7 @@ from .model import (
     ProblemSpec,
     RuleKind,
     TrainingConfig,
+    derive_example_params,
     diagonal_grid,
     document_to_config,
     document_to_prior,
@@ -304,12 +305,10 @@ def _run_verify_claim(claim: str, args) -> tuple:
     if claim == "remark2":
         if doc is not None:
             spec, prior, config, doc_reps, _ = parse_bundle(doc, seed=seed, reps=reps)
-            if not isinstance(prior, ConjugateNormalPrior):
-                raise ConfigError("remark2 needs a conjugate_normal prior")
-            x = spec.covariates[0]
-            n = config.total(x)
-            outcome = verify_remark2(spec.noise_var, prior.tau_sq, n,
-                                     spec.delta_mu(x), doc_reps, config.seed)
+            example = derive_example_params(spec, prior, config)
+            outcome = verify_remark2(spec.noise_var, prior.tau_sq, example.n,
+                                     example.delta_mu, doc_reps, config.seed,
+                                     beta_bar=example.beta_bar, mu_bar=example.mu_bar)
         else:
             outcome = verify_remark2(1.0, 1.0, 12, 0.0, reps if reps is not None else 20000,
                                      seed if seed is not None else DEFAULT_SEED)
@@ -403,8 +402,6 @@ def cmd_sweep(args) -> int:
     master_seed = config0.seed
     axis_names = [entry["axis"] for entry in axes]
     grid = list(itertools.product(*(entry["values"] for entry in axes)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     reports = []
     for index, point in enumerate(grid):
@@ -420,6 +417,8 @@ def cmd_sweep(args) -> int:
         for row in report.to_rows():
             rows.append(tuple(point) + row)
     header = tuple(axis_names) + CSV_HEADER
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "sweep.csv", rows, header=header)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows over {len(grid)} points)")
     if len(axis_names) == 1:

@@ -5,7 +5,10 @@ and a real label ``Y`` with ``Y | X=x, G=g ~ Normal(mu(x, g), noise_var)``.
 Training data consists of a fixed number of iid draws per ``(x, g)`` cell.
 The decision-maker's beliefs over the cell means come in two flavors: an
 independent conjugate-Normal prior per cell, or an arbitrary discrete grid
-of ``(mu1, mu0)`` pairs per covariate value.
+of ``(mu1, mu0)`` pairs per covariate value. Each prior class carries the
+human decision rules under it: the prior mean, the posterior means after the
+group-aware or group-blind machine signal, and the disparity infimum that
+certifies the prior as delta-disparate.
 
 All types are plain frozen dataclasses; nothing here mutates after
 construction. Training draws are simulated by :mod:`assistfair.simulate`.
@@ -21,7 +24,13 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SpecValidationError
+from .errors import (
+    ConfigError,
+    EmptyCellError,
+    PreconditionError,
+    SignalSupportError,
+    SpecValidationError,
+)
 
 __all__ = [
     "PROB_SUM_TOL",
@@ -127,9 +136,68 @@ class TrainingConfig:
         return self.count(x, 0) + self.count(x, 1)
 
 
+# Rows per chunk of the grid posterior are sized so one temporary stays near
+# 16 MB; the grid axis is never partitioned, so chunking cannot perturb any
+# row's reduction.
+_GRID_CHUNK_ELEMENTS = 1 << 21
+# Pooled-signal centres of a grid prior closer than this fraction of the
+# support's span are one conditioning value in ``disparity_infimum``.
+_GROUP_TOL = 1e-9
+
+
+def _checked_signal(signal, counts: tuple, sigma_sq: float, empty: str) -> np.ndarray:
+    """The signal as a float array, after the checks every posterior shares.
+
+    ``counts`` are the training counts behind the signal; ``empty`` is the
+    message raised when they are all zero.
+    """
+    if any(n < 0 for n in counts):
+        raise PreconditionError("counts must be non-negative")
+    if sum(counts) == 0:
+        raise EmptyCellError(empty)
+    if not sigma_sq > 0:
+        raise PreconditionError("sigma_sq must be positive")
+    arr = np.asarray(signal, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise SignalSupportError("signal outside prior support (non-finite signal)")
+    return arr
+
+
+def _aware_empty(x, g: int) -> str:
+    return f"group-aware decision undefined for empty cell ({x!r}, {g})"
+
+
+def _blind_empty(x) -> str:
+    return f"group-blind decision undefined with no observations at x={x!r}"
+
+
+def _pool_weights(counts: tuple) -> tuple:
+    n1, n0 = counts
+    n = n1 + n0
+    if n <= 0:
+        raise PreconditionError("counts must have positive total")
+    return n1 / n, n0 / n
+
+
 @dataclass(frozen=True)
 class ConjugateNormalPrior:
-    """Independent Normal(beta(x, g), tau_sq) belief per cell."""
+    """Independent Normal(beta(x, g), tau_sq) belief per cell.
+
+    The decision-maker decides unassisted by the prior mean, or observes one
+    machine prediction for the case at hand and decides by posterior mean.
+    The group-aware prediction for cell ``(x, g)`` is the cell's training
+    average, a Normal signal centred at ``mu(x, g)``; the group-blind one is
+    the pooled average, centred at the count-weighted mean
+    ``w1 mu(x,1) + w0 mu(x,0)``. Each decision conditions only on the single
+    prediction for its own cell, never on the full prediction table. Under
+    this prior every posterior mean is an exact affine formula obtained by
+    joint-Normal conditioning.
+
+    The posterior methods accept a scalar or an array of signal values and
+    return a result shaped like the signal.
+    """
+
+    kind = "conjugate_normal"
 
     beta: Mapping
     tau_sq: float
@@ -147,13 +215,70 @@ class ConjugateNormalPrior:
     def beta_bar(self, x) -> float:
         return 0.5 * (self.beta[(x, 1)] + self.beta[(x, 0)])
 
+    def prior_mean(self, x, g: int) -> float:
+        """Prior mean of mu(x, g): the decision with no machine input."""
+        return self.beta[(x, g)]
+
+    def posterior_aware(self, signal, n_cell: int, sigma_sq: float, x, g: int):
+        """Posterior mean of mu(x, g) after the group-aware prediction.
+
+        The signal is the cell average, Normal(mu(x,g), sigma_sq/n_cell), so the
+        posterior mean is the inverse-variance weighting
+        (sigma_sq*beta + tau_sq*n_cell*signal) / (sigma_sq + n_cell*tau_sq).
+        """
+        s = _checked_signal(signal, (n_cell,), sigma_sq, _aware_empty(x, g))
+        return (sigma_sq * self.beta[(x, g)] + self.tau_sq * n_cell * s) / (
+            sigma_sq + n_cell * self.tau_sq
+        )
+
+    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x, g: int):
+        """Posterior mean of mu(x, g) after the group-blind prediction.
+
+        The pooled average is Normal(w1*mu(x,1) + w0*mu(x,0), sigma_sq/n) with
+        w_g = n_g/n, jointly Normal with the independent cell priors, so
+
+            beta(x,g) + w_g*tau_sq*(signal - (w1*beta1 + w0*beta0))
+                        / ((w1^2 + w0^2)*tau_sq + sigma_sq/n).
+
+        With n1 = n0 this updates the common level and keeps the prior gap.
+        """
+        s = _checked_signal(signal, counts, sigma_sq, _blind_empty(x))
+        w1, w0 = _pool_weights(counts)
+        n = sum(counts)
+        signal_mean = w1 * self.beta[(x, 1)] + w0 * self.beta[(x, 0)]
+        gain = (w1 if g == 1 else w0) * self.tau_sq / (
+            (w1 * w1 + w0 * w0) * self.tau_sq + sigma_sq / n)
+        return self.beta[(x, g)] + gain * (s - signal_mean)
+
+    def disparity_infimum(self, counts: tuple, x) -> float:
+        """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
+
+        The prior is delta-disparate at ``x`` exactly when this is at least
+        delta. The conditional mean is linear in the conditioning value with
+        slope (w1 - w0)/(w1^2 + w0^2): constant at the prior gap under
+        balanced counts, unbounded below (``-inf``) otherwise.
+        """
+        w1, w0 = _pool_weights(counts)
+        return self.beta_gap(x) if w1 == w0 else -math.inf
+
 
 @dataclass(frozen=True)
 class GridPrior:
     """Discrete belief over mean pairs: per x, points (mu1_i, mu0_i) with weights.
 
-    Weights must be non-negative and sum to 1 per covariate value.
+    Weights must be finite, non-negative and sum to 1 per covariate value.
+    The decisions are those of :class:`ConjugateNormalPrior`: the prior mean,
+    or the posterior mean after one machine signal. Each posterior reweights
+    the grid pairs by the Normal likelihood of the signal at the pair's signal
+    centre (``mu_g`` for the aware prediction, ``w1*mu1 + w0*mu0`` for the
+    blind one), in log-space so that however sharply the likelihood
+    concentrates, mass underflows only where it is genuinely gone.
+
+    The posterior methods accept a scalar or an array of signal values and
+    return a result shaped like the signal.
     """
+
+    kind = "grid"
 
     points: Mapping  # x -> (mu1: ndarray, mu0: ndarray, weights: ndarray)
 
@@ -167,8 +292,9 @@ class GridPrior:
                 raise SpecValidationError(f"grid prior at x={x!r} is empty")
             if not (mu1.shape == mu0.shape == w.shape):
                 raise SpecValidationError(f"grid arrays at x={x!r} have mismatched shapes")
-            if np.any(w < 0):
-                raise SpecValidationError(f"grid weights at x={x!r} must be non-negative")
+            if not (np.all(np.isfinite(w)) and np.all(w >= 0)):
+                raise SpecValidationError(
+                    f"grid weights at x={x!r} must be finite and non-negative")
             if abs(float(w.sum()) - 1.0) > PROB_SUM_TOL:
                 raise SpecValidationError(
                     f"grid weights at x={x!r} sum to {float(w.sum())!r}, expected 1"
@@ -186,6 +312,87 @@ class GridPrior:
 
     def weights(self, x) -> np.ndarray:
         return self.points[x][2]
+
+    def prior_mean(self, x, g: int) -> float:
+        """Prior mean of mu(x, g): the decision with no machine input."""
+        return float(np.dot(self.weights(x), self.support(x, g)))
+
+    def posterior_aware(self, signal, n_cell: int, sigma_sq: float, x, g: int):
+        """Posterior mean of mu(x, g) after the group-aware prediction.
+
+        Each pair is reweighted by the Normal density of the signal at its
+        mu_g coordinate with variance sigma_sq/n_cell.
+        """
+        s = _checked_signal(signal, (n_cell,), sigma_sq, _aware_empty(x, g))
+        support = self.support(x, g)
+        return self._posterior_mean(x, support, support, s, sigma_sq / n_cell)
+
+    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x, g: int):
+        """Posterior mean of mu(x, g) after the group-blind prediction.
+
+        Pairs are reweighted by the Normal density of the signal at
+        w1*mu1 + w0*mu0 with variance sigma_sq/(n1+n0).
+        """
+        s = _checked_signal(signal, counts, sigma_sq, _blind_empty(x))
+        n1, n0 = counts
+        n = n1 + n0
+        mu1, mu0, _ = self.points[x]
+        centers = (n1 * mu1 + n0 * mu0) / n
+        return self._posterior_mean(x, mu1 if g == 1 else mu0, centers, s, sigma_sq / n)
+
+    def disparity_infimum(self, counts: tuple, x) -> float:
+        """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
+
+        The prior is delta-disparate at ``x`` exactly when this is at least
+        delta. The scan runs over the weighted-mean values realised on the
+        support, grouping values closer than ``_GROUP_TOL`` of the span.
+        """
+        w1, w0 = _pool_weights(counts)
+        mu1, mu0, weights = self.points[x]
+        keep = weights > 0
+        mu1, mu0, weights = mu1[keep], mu0[keep], weights[keep]
+        mbar = w1 * mu1 + w0 * mu0
+        order = np.argsort(mbar, kind="stable")
+        mbar, gaps, weights = mbar[order], (mu1 - mu0)[order], weights[order]
+        span = float(mbar[-1] - mbar[0]) if mbar.size > 1 else 0.0
+        atol = _GROUP_TOL * max(1.0, span)
+        infimum = math.inf
+        start = 0
+        for stop in range(1, mbar.size + 1):
+            if stop < mbar.size and mbar[stop] - mbar[start] <= atol:
+                continue
+            w = weights[start:stop]
+            infimum = min(infimum, float(np.dot(w, gaps[start:stop]) / w.sum()))
+            start = stop
+        return infimum
+
+    def _posterior_mean(self, x, target: np.ndarray, centers: np.ndarray,
+                        signal: np.ndarray, signal_var: float):
+        """Posterior mean of ``target`` under Normal(centers, signal_var) likelihoods.
+
+        Each signal's row is shifted by its own max log-posterior before
+        exponentiation, so the row underflows only when all its mass is gone.
+        """
+        signals = signal.reshape(-1)
+        with np.errstate(divide="ignore"):
+            logw = np.log(self.weights(x))
+        out = np.empty(signals.shape[0], dtype=np.float64)
+        rows = max(1, _GRID_CHUNK_ELEMENTS // max(1, centers.size))
+        for start in range(0, signals.shape[0], rows):
+            s = signals[start:start + rows]
+            dev = s[:, None] - centers[None, :]
+            # extreme signals overflow to -inf log-mass, caught as support errors
+            with np.errstate(over="ignore"):
+                lp = logw[None, :] - dev * dev / (2.0 * signal_var)
+            shift = lp.max(axis=1, keepdims=True)
+            if not np.all(np.isfinite(shift)):
+                bad = int(np.flatnonzero(~np.isfinite(shift.ravel()))[0]) + start
+                raise SignalSupportError(
+                    f"signal outside prior support (signal index {bad}, value {signals[bad]!r})"
+                )
+            w = np.exp(lp - shift)
+            out[start:start + rows] = (w @ target) / w.sum(axis=1)
+        return out.reshape(signal.shape)[()]
 
 
 Prior = ConjugateNormalPrior | GridPrior

@@ -107,31 +107,6 @@ class RegimeResult:
     counts: tuple
     group_prob: float
     noise_var: float
-    delta_threshold: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "xi": self.xi,
-            "abs_delta_mu": self.abs_delta_mu,
-            "regime": self.regime.value,
-            "risk_aware": self.risk_aware,
-            "risk_blind": self.risk_blind,
-            "counts": list(self.counts),
-            "group_prob": self.group_prob,
-            "noise_var": self.noise_var,
-            "delta_threshold": self.delta_threshold,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"x={self.x}: xi={self.xi:.10g}, |delta_mu|={self.abs_delta_mu:.10g} "
-            f"-> {self.regime.value}",
-            f"  E[risk] aware={self.risk_aware:.10g} blind={self.risk_blind:.10g}",
-        ]
-        if self.delta_threshold is not None:
-            lines.append(f"  assistance delta threshold={self.delta_threshold:.10g}")
-        return "\n".join(lines) + "\n"
 
 
 def example_closed_forms(sigma_sq: float, tau_sq: float, n: int, delta: float,
@@ -234,27 +209,19 @@ def delta_threshold_example(sigma_sq: float, tau_sq: float, n: int,
     )
 
 
-def classify_regime(spec: ProblemSpec, config: TrainingConfig, x,
-                    tau_sq: float | None = None) -> RegimeResult:
+def classify_regime(spec: ProblemSpec, config: TrainingConfig, x) -> RegimeResult:
     """Classify the machine trade-off at ``x`` and echo the oracle quantities.
 
     The boundary |delta_mu| = xi is labeled DOMINANCE by convention (the
-    trade-off regime is a strict inequality). ``delta_threshold`` is filled
-    only for balanced counts with a supplied prior variance, where the
-    balanced example's assistance threshold applies.
+    trade-off regime is a strict inequality).
     """
     xi = xi_threshold_general(spec, config, x)
     risk_aware, risk_blind = machine_risk_expectations(spec, config, x)
     abs_gap = abs(spec.delta_mu(x))
     regime = Regime.TRADE_OFF if abs_gap > xi else Regime.DOMINANCE
-    n1, n0 = config.count(x, 1), config.count(x, 0)
-    delta_threshold = None
-    if tau_sq is not None and n1 == n0:
-        delta_threshold = delta_threshold_example(spec.noise_var, tau_sq, n1 + n0,
-                                                  spec.delta_mu(x))
     return RegimeResult(
         x=str(x), xi=xi, abs_delta_mu=abs_gap, regime=regime,
         risk_aware=risk_aware, risk_blind=risk_blind,
-        counts=(n1, n0), group_prob=spec.p_group(x, 1), noise_var=spec.noise_var,
-        delta_threshold=delta_threshold,
+        counts=(config.count(x, 1), config.count(x, 0)), group_prob=spec.p_group(x, 1),
+        noise_var=spec.noise_var,
     )

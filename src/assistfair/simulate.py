@@ -22,16 +22,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .decisions import (
-    decide_assisted_aware_conjugate,
-    decide_assisted_blind_conjugate,
-    decide_unassisted,
-    grid_posterior_aware,
-    grid_posterior_blind,
-)
 from .errors import ConfigError, EmptyCellError
 from .model import (
-    ConjugateNormalPrior,
     Prior,
     ProblemSpec,
     RuleKind,
@@ -106,43 +98,39 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
     """
     kinds = list(rule_kinds)
     reps = next(iter(cell_means.values())).shape[0] if cell_means else 0
-    conjugate = isinstance(prior, ConjugateNormalPrior)
+    # the blind prediction: the count-weighted pool of the cell means
+    pooled: dict = {}
+    if RuleKind.F_MINUS in kinds or RuleKind.D_MINUS in kinds:
+        for x in spec.covariates:
+            n1, n0 = config.count(x, 1), config.count(x, 0)
+            if n1 + n0 == 0:
+                continue
+            blind = np.zeros(reps, dtype=np.float64)
+            if n1:
+                blind += n1 * cell_means[(x, 1)]
+            if n0:
+                blind += n0 * cell_means[(x, 0)]
+            blind /= n1 + n0
+            pooled[x] = blind
     values: dict = {}
     for kind in kinds:
         _require_cells(config, spec, kind)
         per_cell: dict = {}
         for x in spec.covariates:
-            n1, n0 = config.count(x, 1), config.count(x, 0)
-            n = n1 + n0
-            if kind in (RuleKind.F_MINUS, RuleKind.D_MINUS):
-                blind = np.zeros(reps, dtype=np.float64)
-                if n1:
-                    blind += n1 * cell_means[(x, 1)]
-                if n0:
-                    blind += n0 * cell_means[(x, 0)]
-                blind /= n
+            counts = (config.count(x, 1), config.count(x, 0))
             for g in (0, 1):
                 if kind is RuleKind.F_MINUS:
-                    per_cell[(x, g)] = blind if g == 0 else blind.copy()
+                    per_cell[(x, g)] = pooled[x] if g == 0 else pooled[x].copy()
                 elif kind is RuleKind.F_PLUS:
                     per_cell[(x, g)] = cell_means[(x, g)].copy()
                 elif kind is RuleKind.D0:
-                    per_cell[(x, g)] = np.full(reps, decide_unassisted(prior, x, g))
+                    per_cell[(x, g)] = np.full(reps, prior.prior_mean(x, g))
                 elif kind is RuleKind.D_MINUS:
-                    if conjugate:
-                        per_cell[(x, g)] = decide_assisted_blind_conjugate(
-                            prior, blind, (n1, n0), spec.noise_var, x, g)
-                    else:
-                        per_cell[(x, g)] = grid_posterior_blind(
-                            prior, blind, (n1, n0), spec.noise_var, x, g)
+                    per_cell[(x, g)] = prior.posterior_blind(
+                        pooled[x], counts, spec.noise_var, x, g)
                 elif kind is RuleKind.D_PLUS:
-                    signal = cell_means[(x, g)]
-                    if conjugate:
-                        per_cell[(x, g)] = decide_assisted_aware_conjugate(
-                            prior, signal, config.count(x, g), spec.noise_var, x, g)
-                    else:
-                        per_cell[(x, g)] = grid_posterior_aware(
-                            prior, signal, config.count(x, g), spec.noise_var, x, g)
+                    per_cell[(x, g)] = prior.posterior_aware(
+                        cell_means[(x, g)], config.count(x, g), spec.noise_var, x, g)
                 else:
                     raise ConfigError(f"unknown rule kind {kind!r}")
         values[kind] = per_cell

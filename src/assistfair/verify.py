@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import rng
-from .decisions import check_delta_disparate
 from .errors import ConfigError, PreconditionError
 from .metrics import mc_expected_metrics, pointwise_risk
 from .model import (
@@ -151,28 +150,27 @@ def _resolve_deltas(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     """
     out = {}
     for x in spec.covariates:
-        counts = (config.count(x, 1), config.count(x, 0))
-        check = check_delta_disparate(prior, counts, x)
+        infimum = prior.disparity_infimum((config.count(x, 1), config.count(x, 0)), x)
         if delta is None:
-            if not check.bounded_below:
+            if infimum == -math.inf:
                 raise PreconditionError(
                     f"conditional disparity unbounded below at x={x!r}; beliefs are "
                     "not delta-disparate for any delta (unbalanced counts with "
                     "independent Normal cell priors)"
                 )
-            if not check.infimum > 0:
+            if not infimum > 0:
                 raise PreconditionError(
-                    f"certified disparity infimum {check.infimum!r} at x={x!r} is not "
+                    f"certified disparity infimum {infimum!r} at x={x!r} is not "
                     "positive"
                 )
-            out[x] = check.infimum
+            out[x] = infimum
         else:
             if not delta > 0:
                 raise PreconditionError("delta must be positive")
-            if check.infimum < delta - WEAK_ABS_TOL:
+            if infimum < delta - WEAK_ABS_TOL:
                 raise PreconditionError(
                     f"prior is not {delta!r}-disparate at x={x!r}: conditional "
-                    f"disparity infimum is {check.infimum!r}"
+                    f"disparity infimum is {infimum!r}"
                 )
             out[x] = delta
     return out
@@ -200,22 +198,19 @@ def _gap_preconditions(spec: ProblemSpec, deltas: Mapping, strict_lower: bool) -
             )
 
 
-def _echo_parameters(spec: ProblemSpec, config: TrainingConfig, deltas: Mapping | None,
-                     prior: Prior | None = None) -> dict:
+def _echo_parameters(spec: ProblemSpec, config: TrainingConfig, deltas: Mapping,
+                     prior: Prior) -> dict:
     params: dict = {
         "noise_var": spec.noise_var,
         "seed": config.seed,
         "counts": {str(x): [config.count(x, 0), config.count(x, 1)]
                    for x in spec.covariates},
         "delta_mu": {str(x): spec.delta_mu(x) for x in spec.covariates},
+        "delta": {str(x): deltas[x] for x in spec.covariates},
+        "prior_kind": prior.kind,
     }
-    if deltas is not None:
-        params["delta"] = {str(x): deltas[x] for x in spec.covariates}
-    if isinstance(prior, ConjugateNormalPrior):
+    if prior.kind == ConjugateNormalPrior.kind:
         params["tau_sq"] = prior.tau_sq
-        params["prior_kind"] = "conjugate_normal"
-    elif isinstance(prior, GridPrior):
-        params["prior_kind"] = "grid"
     return params
 
 

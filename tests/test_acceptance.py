@@ -114,13 +114,11 @@ def test_criterion_03_conjugate_grid_equivalence_20_tuples():
             own = ((mu1 if g else mu0)
                    + math.sqrt(sigma_sq / n_cell) * draws.standard_normal())
             worst = max(worst, abs(
-                af.decide_assisted_aware_conjugate(prior, own, n_cell, sigma_sq,
-                                                   "x0", g)
-                - af.grid_posterior_aware(grid, own, n_cell, sigma_sq, "x0", g)))
+                prior.posterior_aware(own, n_cell, sigma_sq, "x0", g)
+                - grid.posterior_aware(own, n_cell, sigma_sq, "x0", g)))
             worst = max(worst, abs(
-                af.decide_assisted_blind_conjugate(prior, pooled, (n1, n0), sigma_sq,
-                                                   "x0", g)
-                - af.grid_posterior_blind(grid, pooled, (n1, n0), sigma_sq, "x0", g)))
+                prior.posterior_blind(pooled, (n1, n0), sigma_sq, "x0", g)
+                - grid.posterior_blind(pooled, (n1, n0), sigma_sq, "x0", g)))
     report(3, "grid posteriors match conjugate closed forms to 1e-6",
            worst < 1e-6, f"worst |gap|={worst:.2e}")
 

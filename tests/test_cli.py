@@ -1,11 +1,16 @@
 """Command-line interface: files, exit codes, determinism, sweeps."""
 
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assistfair.cli import main, write_json
 
@@ -194,6 +199,27 @@ class TestVerify:
         payload = json.loads((out / "verify_remark2.json").read_text())
         assert payload["parameters"]["threshold"] == pytest.approx(0.5)
 
+    def test_remark2_config_must_be_balanced(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", counts={"x0": [2, 10]},
+                           prior={"kind": "conjugate_normal", "beta": {"x0": [3.0, 9.0]},
+                                  "tau_sq": 1.0})
+        out = tmp_path / "v"
+        code = main(["verify", "remark2", "--config", str(cfg), "--reps", "50",
+                     "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    def test_remark2_config_echoes_its_levels(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", true_means={"x0": [0.25, 0.25]},
+                           prior={"kind": "conjugate_normal", "beta": {"x0": [0.0, 1.0]},
+                                  "tau_sq": 1.0})
+        out = tmp_path / "v"
+        code = main(["verify", "remark2", "--config", str(cfg), "--reps", "50",
+                     "--out", str(out)])
+        assert code in (0, 1)
+        params = json.loads((out / "verify_remark2.json").read_text())["parameters"]
+        assert (params["n"], params["beta_bar"], params["mu_bar"]) == (8, 0.5, 0.25)
+
     def test_remark3_merges_both_regimes(self, tmp_path):
         out = tmp_path / "v"
         proc = run_cli("verify", "remark3", "--reps", "2000", "--out", str(out))
@@ -306,6 +332,14 @@ class TestSweep:
         proc = run_cli("sweep", "--config", str(cfg))
         assert proc.returncode == 2
 
+    def test_invalid_point_leaves_no_output_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json",
+                           sweep={"axis": "n", "values": [8.5]})
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
 
 class TestConfigRoundTrip:
     def test_document_objects_document_identity(self):
@@ -320,3 +354,86 @@ class TestConfigRoundTrip:
         assert af.config_to_document(config, spec) == {"counts": doc["counts"],
                                                        "seed": doc["seed"]}
         assert af.prior_to_document(prior, spec) == doc["prior"]
+
+
+# ---------------------------------------------------------------------------
+# Property: mutated configs through main() never escape the exit-code contract
+
+_COVARIATE_KEYED = ("covariate_probs", "group_probs", "true_means", "counts")
+
+
+def _paths(node, prefix=()):
+    """Every key or index path inside a config document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["reps"] = 20
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(("drop", "swap", "fraction", "negative", "nan",
+                                   "unknown")))
+        if op == "unknown":
+            where = draw(st.sampled_from(_COVARIATE_KEYED + ("prior", "covariates")))
+            if where == "covariates":
+                doc["covariates"] = ["x9"]
+            elif where == "prior":
+                beta = doc["prior"].get("beta") if isinstance(doc.get("prior"), dict) else None
+                if isinstance(beta, dict):
+                    beta["x9"] = [0.0, 1.0]
+            elif isinstance(doc.get(where), dict):
+                doc[where]["x9"] = doc[where].get("x0", 0.5)
+            continue
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = _parent(doc, path), path[-1]
+        value = parent[key]
+        if op == "drop":
+            del parent[key]
+        elif op == "swap":
+            parent[key] = draw(st.sampled_from(
+                ["text", [1, 2], {"a": 1}, True, None, 3.5, 7]).filter(
+                    lambda new: type(new) is not type(value)))
+        elif op == "fraction":
+            parent[key] = (value if isinstance(value, (int, float)) else 4) + 0.5
+        elif op == "negative":
+            parent[key] = -(value if isinstance(value, (int, float)) else 4)
+        else:
+            parent[key] = draw(st.sampled_from([float("nan"), "NaN"]))
+    return doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=mutated_configs())
+def test_mutated_configs_keep_the_exit_code_contract(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        for index, command in enumerate((["simulate"], ["verify", "thm1"])):
+            out = Path(tmp) / f"out{index}"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(command + ["--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2), (command, code)
+            if code == 2:
+                text = err.getvalue()
+                assert text.startswith("error: ") and text.count("\n") == 1, text
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)

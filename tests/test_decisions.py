@@ -1,4 +1,4 @@
-"""Posterior decision rules against independent numerical oracles.
+"""The priors' decision rules against independent numerical oracles.
 
 The conjugate formulas are checked three ways: hand-worked instances,
 brute-force numerical integration of the posterior (trapezoid rule over the
@@ -51,21 +51,21 @@ def oracle_blind_mean(b1, b0, tau_sq, signal, n1, n0, sigma_sq, g):
 class TestUnassisted:
     def test_conjugate_returns_prior_mean(self):
         prior = conjugate_prior(-0.5, 0.5)
-        assert af.decide_unassisted(prior, "x0", 1) == 0.5
-        assert af.decide_unassisted(prior, "x0", 0) == -0.5
+        assert prior.prior_mean("x0", 1) == 0.5
+        assert prior.prior_mean("x0", 0) == -0.5
 
     def test_grid_returns_weighted_mean(self):
         prior = af.GridPrior(points={"x0": (np.asarray([1.0, 3.0]),
                                             np.asarray([0.0, -2.0]),
                                             np.asarray([0.25, 0.75]))})
-        assert af.decide_unassisted(prior, "x0", 1) == pytest.approx(2.5)
-        assert af.decide_unassisted(prior, "x0", 0) == pytest.approx(-1.5)
+        assert prior.prior_mean("x0", 1) == pytest.approx(2.5)
+        assert prior.prior_mean("x0", 0) == pytest.approx(-1.5)
 
 
 class TestAwareConjugate:
     def test_matches_precision_weighting(self):
         prior = conjugate_prior(-0.5, 0.5, tau_sq=2.0)
-        got = af.decide_assisted_aware_conjugate(prior, 1.2, 5, 0.7, "x0", 1)
+        got = prior.posterior_aware(1.2, 5, 0.7, "x0", 1)
         expected = (0.7 * 0.5 + 2.0 * 5 * 1.2) / (0.7 + 5 * 2.0)
         assert got == pytest.approx(expected, rel=1e-15)
 
@@ -76,25 +76,36 @@ class TestAwareConjugate:
             (0.0, 4.0, -3.0, 10, 0.5),
         ):
             prior = conjugate_prior(0.0, beta, tau_sq=tau_sq)
-            got = af.decide_assisted_aware_conjugate(prior, signal, n_cell,
-                                                     sigma_sq, "x0", 1)
+            got = prior.posterior_aware(signal, n_cell, sigma_sq, "x0", 1)
             assert got == pytest.approx(
                 oracle_aware_mean(beta, tau_sq, signal, n_cell, sigma_sq), abs=1e-7)
 
     def test_vectorized_signals(self):
         prior = conjugate_prior(-0.5, 0.5)
         signals = np.asarray([-1.0, 0.0, 2.0])
-        got = af.decide_assisted_aware_conjugate(prior, signals, 4, 1.0, "x0", 0)
-        singles = [af.decide_assisted_aware_conjugate(prior, s, 4, 1.0, "x0", 0)
-                   for s in signals]
+        got = prior.posterior_aware(signals, 4, 1.0, "x0", 0)
+        singles = [prior.posterior_aware(s, 4, 1.0, "x0", 0) for s in signals]
         assert np.allclose(got, singles, rtol=0, atol=0)
+
+    def test_result_is_shaped_like_the_signal(self):
+        prior = conjugate_prior(-0.5, 0.5)
+        grid = af.dense_grid_from_conjugate(prior, ["x0"], n_points=201)
+        signals = np.asarray([[-1.0, 0.0], [2.0, 0.5]])
+        for p in (prior, grid):
+            for got in (p.posterior_aware(signals, 4, 1.0, "x0", 0),
+                        p.posterior_blind(signals, (4, 2), 1.0, "x0", 0)):
+                assert got.shape == signals.shape
+            assert np.ndim(p.posterior_aware(0.5, 4, 1.0, "x0", 0)) == 0
+            assert np.ndim(p.posterior_blind(0.5, (4, 2), 1.0, "x0", 0)) == 0
 
     def test_empty_cell_and_bad_noise(self):
         prior = conjugate_prior(-0.5, 0.5)
         with pytest.raises(af.EmptyCellError):
-            af.decide_assisted_aware_conjugate(prior, 1.0, 0, 1.0, "x0", 1)
+            prior.posterior_aware(1.0, 0, 1.0, "x0", 1)
         with pytest.raises(af.PreconditionError):
-            af.decide_assisted_aware_conjugate(prior, 1.0, 4, 0.0, "x0", 1)
+            prior.posterior_aware(1.0, 4, 0.0, "x0", 1)
+        with pytest.raises(af.SignalSupportError):
+            prior.posterior_aware(np.nan, 4, 1.0, "x0", 1)
 
     @settings(max_examples=60, deadline=None)
     @given(beta=st.floats(-5, 5), tau_sq=st.floats(0.05, 10),
@@ -103,7 +114,7 @@ class TestAwareConjugate:
     def test_posterior_mean_between_prior_and_signal(self, beta, tau_sq, signal,
                                                      n_cell, sigma_sq):
         prior = conjugate_prior(0.0, beta, tau_sq=tau_sq)
-        got = af.decide_assisted_aware_conjugate(prior, signal, n_cell, sigma_sq, "x0", 1)
+        got = prior.posterior_aware(signal, n_cell, sigma_sq, "x0", 1)
         lo, hi = min(beta, signal), max(beta, signal)
         assert lo - 1e-9 <= got <= hi + 1e-9
 
@@ -113,8 +124,8 @@ class TestBlindConjugate:
         # beta = (+0.5 group 1, -0.5 group 0), 4+4 observations, signal 1.0:
         # shared shift 0.8, decisions (1.3, 0.3)
         prior = conjugate_prior(-0.5, 0.5)
-        d1 = af.decide_assisted_blind_conjugate(prior, 1.0, (4, 4), 1.0, "x0", 1)
-        d0 = af.decide_assisted_blind_conjugate(prior, 1.0, (4, 4), 1.0, "x0", 0)
+        d1 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0", 1)
+        d0 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0", 0)
         assert d1 == pytest.approx(1.3, rel=1e-12)
         assert d0 == pytest.approx(0.3, rel=1e-12)
 
@@ -122,8 +133,8 @@ class TestBlindConjugate:
         # flat prior at 0, counts (n1=6, n0=2), signal 1.0: the majority group
         # absorbs the full signal, the minority one third of it
         prior = conjugate_prior(0.0, 0.0)
-        d1 = af.decide_assisted_blind_conjugate(prior, 1.0, (6, 2), 1.0, "x0", 1)
-        d0 = af.decide_assisted_blind_conjugate(prior, 1.0, (6, 2), 1.0, "x0", 0)
+        d1 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0", 1)
+        d0 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0", 0)
         assert d1 == pytest.approx(1.0, rel=1e-12)
         assert d0 == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -135,8 +146,7 @@ class TestBlindConjugate:
         ):
             prior = conjugate_prior(b0, b1, tau_sq=tau_sq)
             for g in (0, 1):
-                got = af.decide_assisted_blind_conjugate(prior, signal, (n1, n0),
-                                                         sigma_sq, "x0", g)
+                got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
                 want = oracle_blind_mean(b1, b0, tau_sq, signal, n1, n0, sigma_sq, g)
                 assert got == pytest.approx(want, abs=2e-6)
 
@@ -149,15 +159,15 @@ class TestBlindConjugate:
         signal = 2.0
         beta_bar = 0.3
         level = (n * 1.5 * signal + 2 * sigma_sq * beta_bar) / (n * 1.5 + 2 * sigma_sq)
-        d1 = af.decide_assisted_blind_conjugate(prior, signal, (6, 6), sigma_sq, "x0", 1)
-        d0 = af.decide_assisted_blind_conjugate(prior, signal, (6, 6), sigma_sq, "x0", 0)
+        d1 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0", 1)
+        d0 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0", 0)
         assert d1 == pytest.approx(level + 0.5, rel=1e-12)
         assert d0 == pytest.approx(level - 0.5, rel=1e-12)
 
     def test_no_observations(self):
         prior = conjugate_prior(0.0, 0.0)
         with pytest.raises(af.EmptyCellError):
-            af.decide_assisted_blind_conjugate(prior, 1.0, (0, 0), 1.0, "x0", 1)
+            prior.posterior_blind(1.0, (0, 0), 1.0, "x0", 1)
 
     @settings(max_examples=60, deadline=None)
     @given(b0=st.floats(-3, 3), b1=st.floats(-3, 3), tau_sq=st.floats(0.1, 5),
@@ -166,10 +176,8 @@ class TestBlindConjugate:
     def test_balanced_blind_disparity_is_prior_gap(self, b0, b1, tau_sq, signal,
                                                    half, sigma_sq):
         prior = conjugate_prior(b0, b1, tau_sq=tau_sq)
-        d1 = af.decide_assisted_blind_conjugate(prior, signal, (half, half),
-                                                sigma_sq, "x0", 1)
-        d0 = af.decide_assisted_blind_conjugate(prior, signal, (half, half),
-                                                sigma_sq, "x0", 0)
+        d1 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0", 1)
+        d0 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0", 0)
         assert d1 - d0 == pytest.approx(b1 - b0, abs=1e-9)
 
 
@@ -182,7 +190,7 @@ class TestGridPosteriors:
         signal, n_cell, sigma_sq = 0.7, 5, 1.3
         like = normal_pdf(mu1, signal, sigma_sq / n_cell)
         want = np.dot(mu1, w * like) / np.dot(w, like)
-        got = af.grid_posterior_aware(prior, signal, n_cell, sigma_sq, "x0", 1)
+        got = prior.posterior_aware(signal, n_cell, sigma_sq, "x0", 1)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_blind_grid_matches_direct_bayes(self):
@@ -195,7 +203,7 @@ class TestGridPosteriors:
         like = normal_pdf(centers, signal, sigma_sq / (n1 + n0))
         for g, target in ((1, mu1), (0, mu0)):
             want = np.dot(target, w * like) / np.dot(w, like)
-            got = af.grid_posterior_blind(prior, signal, (n1, n0), sigma_sq, "x0", g)
+            got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_dense_grid_matches_conjugate_closed_forms(self):
@@ -209,57 +217,45 @@ class TestGridPosteriors:
             prior = conjugate_prior(b0, b1, tau_sq=tau_sq)
             grid = af.dense_grid_from_conjugate(prior, ["x0"])
             for g in (0, 1):
-                aware_cf = af.decide_assisted_aware_conjugate(
-                    prior, signal, n1 if g else n0, sigma_sq, "x0", g)
-                aware_gr = af.grid_posterior_aware(
-                    grid, signal, n1 if g else n0, sigma_sq, "x0", g)
+                aware_cf = prior.posterior_aware(signal, n1 if g else n0, sigma_sq, "x0", g)
+                aware_gr = grid.posterior_aware(signal, n1 if g else n0, sigma_sq, "x0", g)
                 assert abs(aware_cf - aware_gr) < 1e-6
-                blind_cf = af.decide_assisted_blind_conjugate(
-                    prior, signal, (n1, n0), sigma_sq, "x0", g)
-                blind_gr = af.grid_posterior_blind(
-                    grid, signal, (n1, n0), sigma_sq, "x0", g)
+                blind_cf = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
+                blind_gr = grid.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
                 assert abs(blind_cf - blind_gr) < 1e-6
 
     def test_sharp_likelihood_stays_stable(self):
         pts, w = af.normal_marginal_grid(0.0, 1.0)
         prior = af.GridPrior(points={"x0": af.diagonal_grid(pts, w)})
-        got = af.grid_posterior_aware(prior, 0.25, 10**6, 1.0, "x0", 1)
+        got = prior.posterior_aware(0.25, 10**6, 1.0, "x0", 1)
         assert got == pytest.approx(0.25, abs=1e-2)
 
     def test_signal_outside_support(self):
         prior = af.GridPrior(points={"x0": (np.asarray([0.0]), np.asarray([0.0]),
                                             np.asarray([1.0]))})
         with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
-            af.grid_posterior_aware(prior, 1e300, 4, 1.0, "x0", 1)
+            prior.posterior_aware(1e300, 4, 1.0, "x0", 1)
 
 
 class TestDeltaDisparate:
     def test_balanced_conjugate_infimum_is_prior_gap(self):
-        check = af.check_delta_disparate(conjugate_prior(-0.5, 0.5), (4, 4), "x0")
-        assert check.bounded_below
-        assert check.infimum == pytest.approx(1.0, abs=1e-12)
-        assert float(check) == check.infimum
+        infimum = conjugate_prior(-0.5, 0.5).disparity_infimum((4, 4), "x0")
+        assert infimum == pytest.approx(1.0, abs=1e-12)
 
     def test_unbalanced_conjugate_is_unbounded(self):
-        check = af.check_delta_disparate(conjugate_prior(-0.5, 0.5), (6, 2), "x0")
-        assert not check.bounded_below
-        assert check.infimum == -math.inf
+        assert conjugate_prior(-0.5, 0.5).disparity_infimum((6, 2), "x0") == -math.inf
 
     def test_gap_grid_certifies_for_any_weights(self):
         pts, w = af.normal_marginal_grid(0.0, 1.0, n_points=501)
         delta = 0.8
         prior = af.GridPrior(points={"x0": (pts + delta / 2, pts - delta / 2, w)})
         for counts in ((4, 4), (6, 2), (1, 9)):
-            check = af.check_delta_disparate(prior, counts, "x0")
-            assert check.bounded_below
-            assert check.infimum == pytest.approx(delta, abs=1e-9)
+            assert prior.disparity_infimum(counts, "x0") == pytest.approx(delta, abs=1e-9)
 
     def test_shared_mean_grid_has_zero_gap(self):
         pts, w = af.normal_marginal_grid(0.0, 1.0, n_points=501)
         prior = af.GridPrior(points={"x0": af.diagonal_grid(pts, w)})
-        check = af.check_delta_disparate(prior, (4, 4), "x0")
-        assert check.bounded_below
-        assert check.infimum == pytest.approx(0.0, abs=1e-12)
+        assert prior.disparity_infimum((4, 4), "x0") == pytest.approx(0.0, abs=1e-12)
 
 
 class TestRealizeRules:
@@ -289,10 +285,10 @@ class TestRealizeRules:
             n_cell = 5 if g else 3
             for i, signal in enumerate(self.CELL_MEANS[("x0", g)]):
                 assert rules[af.RuleKind.D_PLUS][("x0", g)][i] == (
-                    af.decide_assisted_aware_conjugate(prior, signal, n_cell, 1.0, "x0", g))
+                    prior.posterior_aware(signal, n_cell, 1.0, "x0", g))
             for i, signal in enumerate(f_minus[("x0", g)]):
                 assert rules[af.RuleKind.D_MINUS][("x0", g)][i] == (
-                    af.decide_assisted_blind_conjugate(prior, signal, (5, 3), 1.0, "x0", g))
+                    prior.posterior_blind(signal, (5, 3), 1.0, "x0", g))
 
     def test_grid_prior_path(self):
         conj = conjugate_prior(-0.5, 0.5)

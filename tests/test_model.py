@@ -196,6 +196,11 @@ class TestGrids:
             af.GridPrior(points={"a": (np.asarray([0.0]), np.asarray([0.0]),
                                        np.asarray([-1.0]))})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_grid_prior_rejects_non_finite_weights(self, bad):
+        with pytest.raises(af.SpecValidationError, match="finite"):
+            af.GridPrior(points={"x0": ([0.0, 1.0], [0.0, 1.0], [bad, 1.0])})
+
 
 class TestDocuments:
     def test_spec_round_trip(self):

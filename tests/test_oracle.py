@@ -183,13 +183,3 @@ class TestAssistanceThreshold:
         below = af.example_closed_forms(1.0, 1.0, 12, 0.25, 0.0, 0.0, 0.0)
         assert above.expected_risk[D.D_PLUS] < above.expected_risk[D.D_MINUS]
         assert below.expected_risk[D.D_PLUS] > below.expected_risk[D.D_MINUS]
-
-    def test_regime_result_reports_threshold_when_conjugate(self):
-        spec = af.ProblemSpec(
-            covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
-            true_means={("x0", 0): 0.0, ("x0", 1): 0.0}, noise_var=1.0)
-        cfg = af.TrainingConfig(counts={("x0", 0): 6, ("x0", 1): 6}, seed=0)
-        result = af.classify_regime(spec, cfg, "x0", tau_sq=1.0)
-        assert result.delta_threshold == pytest.approx(0.5, abs=1e-12)
-        blob = json.dumps(result.to_json_dict(), sort_keys=True)
-        assert "delta_threshold" in blob
