@@ -89,6 +89,34 @@ def _require_cells(config: TrainingConfig, spec: ProblemSpec, kind: RuleKind) ->
                     )
 
 
+# The engine reaches each prior's decision surface through these module-level
+# entry points, one per rule and prior kind. The benchmark (perfbench/spans.py)
+# times each kind's posterior by wrapping these names on this module, so the
+# engine must look them up here at call time.
+
+
+def decide_unassisted(prior: Prior, x, g: int) -> float:
+    return prior.prior_mean(x, g)
+
+
+def decide_assisted_aware_conjugate(prior: Prior, signal, n_cell: int, sigma_sq: float,
+                                    x, g: int):
+    return prior.posterior_aware(signal, n_cell, sigma_sq, x, g)
+
+
+def decide_assisted_blind_conjugate(prior: Prior, signal, counts: tuple, sigma_sq: float,
+                                    x, g: int):
+    return prior.posterior_blind(signal, counts, sigma_sq, x, g)
+
+
+def grid_posterior_aware(prior: Prior, signal, n_cell: int, sigma_sq: float, x, g: int):
+    return prior.posterior_aware(signal, n_cell, sigma_sq, x, g)
+
+
+def grid_posterior_blind(prior: Prior, signal, counts: tuple, sigma_sq: float, x, g: int):
+    return prior.posterior_blind(signal, counts, sigma_sq, x, g)
+
+
 def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
                                 cell_means: Mapping, rule_kinds: Iterable) -> Mapping:
     """Decision values per rule and cell, vectorized across replications.
@@ -112,6 +140,12 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
                 blind += n0 * cell_means[(x, 0)]
             blind /= n1 + n0
             pooled[x] = blind
+    # the machine rules need no prior, so ``prior`` may be None
+    if prior is not None and prior.kind == "grid":
+        posterior_aware, posterior_blind = grid_posterior_aware, grid_posterior_blind
+    else:
+        posterior_aware = decide_assisted_aware_conjugate
+        posterior_blind = decide_assisted_blind_conjugate
     values: dict = {}
     for kind in kinds:
         _require_cells(config, spec, kind)
@@ -124,13 +158,13 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
                 elif kind is RuleKind.F_PLUS:
                     per_cell[(x, g)] = cell_means[(x, g)].copy()
                 elif kind is RuleKind.D0:
-                    per_cell[(x, g)] = np.full(reps, prior.prior_mean(x, g))
+                    per_cell[(x, g)] = np.full(reps, decide_unassisted(prior, x, g))
                 elif kind is RuleKind.D_MINUS:
-                    per_cell[(x, g)] = prior.posterior_blind(
-                        pooled[x], counts, spec.noise_var, x, g)
+                    per_cell[(x, g)] = posterior_blind(
+                        prior, pooled[x], counts, spec.noise_var, x, g)
                 elif kind is RuleKind.D_PLUS:
-                    per_cell[(x, g)] = prior.posterior_aware(
-                        cell_means[(x, g)], config.count(x, g), spec.noise_var, x, g)
+                    per_cell[(x, g)] = posterior_aware(
+                        prior, cell_means[(x, g)], config.count(x, g), spec.noise_var, x, g)
                 else:
                     raise ConfigError(f"unknown rule kind {kind!r}")
         values[kind] = per_cell
