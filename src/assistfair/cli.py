@@ -22,7 +22,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import rng
-from .errors import AssistFairError, ConfigError, PreconditionError, SpecValidationError
+from .errors import (AssistFairError, ConfigError, EmptyCellError, PreconditionError,
+                     SpecValidationError)
 from .figures import Series, VLine, write_chart
 from .metrics import MetricsReport, mc_expected_metrics
 from .model import (
@@ -529,10 +530,8 @@ def main(argv: Sequence | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, SpecValidationError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, SpecValidationError, PreconditionError, EmptyCellError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssistFairError as exc:

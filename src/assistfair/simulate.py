@@ -1,17 +1,16 @@
-"""Vectorized replication of training draws and decision rules.
+"""Vectorized replication of training cell means and decision rules.
 
-A replication draws a fresh training set, fits both machine predictors, and
-realizes all decision rules. Because every rule depends on the data only
-through the per-cell training averages, the engine keeps only those averages
-and evaluates the rules as array operations across replications.
+Every rule depends on the training data only through the per-cell means,
+and the mean of ``n`` iid ``Normal(mu, noise_var)`` labels is exactly
+``Normal(mu, noise_var / n)``. The engine therefore draws each cell mean
+directly and evaluates the rules as array operations across replications.
 
 Determinism contract: replication ``r`` under master seed ``s`` owns the
-derived seed ``k = replication_seed(s, r)``. Its ``n(x, g)`` labels in cell
-``(x, g)`` are the draws of ``rng.normal_stream(derive_key(k, STREAM_TRAINING,
-cell_index), n(x, g))``, scaled to ``Normal(mu(x, g), noise_var)``, and its
-cell mean is their average. Replications are processed in fixed-size chunks
-to bound memory; chunk boundaries depend only on the problem shape, so
-reruns are byte-identical.
+derived seed ``k = replication_seed(s, r)``. Its mean in cell ``(x, g)`` is
+``mu(x, g) + sqrt(noise_var / n(x, g)) * ndtri(u)``, where ``u`` is draw 0 of
+``rng.uniform_stream(derive_key(k, STREAM_TRAINING, cell_index))``. Each
+replication's means depend only on ``(s, r)``, so a run of R replications is
+the first R entries of any longer run, and reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -38,15 +37,6 @@ __all__ = [
     "replicate_rule_values",
 ]
 
-_CHUNK_DRAWS = 1 << 22
-_MIN_CHUNK_REPS = 256
-_MAX_CHUNK_REPS = 1 << 16
-
-
-def _chunk_reps(max_cell_count: int) -> int:
-    per = _CHUNK_DRAWS // max(1, max_cell_count)
-    return max(_MIN_CHUNK_REPS, min(_MAX_CHUNK_REPS, per))
-
 
 def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -> Mapping:
     """Per-cell training averages for ``reps`` independent replications.
@@ -59,19 +49,12 @@ def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     cells = [(x, g) for (x, g) in spec.cells() if config.count(x, g) > 0]
-    out = {cell: np.empty(reps, dtype=np.float64) for cell in cells}
-    if not cells:
-        return out
-    sd = math.sqrt(spec.noise_var)
-    chunk = _chunk_reps(max(config.count(x, g) for x, g in cells))
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        rep_ids = np.arange(start, stop, dtype=np.uint64)
-        seeds = rng.replication_seed(config.seed, rep_ids)
-        for x, g in cells:
-            keys = rng.derive_key(seeds, rng.STREAM_TRAINING, spec.cell_index(x, g))
-            draws = rng.normal_block(keys, config.count(x, g), mean=spec.mu(x, g), sd=sd)
-            out[(x, g)][start:stop] = draws.mean(axis=1)
+    seeds = rng.replication_seed(config.seed, np.arange(reps, dtype=np.uint64))
+    out = {}
+    for x, g in cells:
+        keys = rng.derive_key(seeds, rng.STREAM_TRAINING, spec.cell_index(x, g))
+        sd = math.sqrt(spec.noise_var / config.count(x, g))
+        out[(x, g)] = rng.normal_block(keys, 1, mean=spec.mu(x, g), sd=sd)[:, 0]
     return out
 
 

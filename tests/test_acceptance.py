@@ -8,9 +8,11 @@ measured numbers (visible with ``-s`` or on failure).
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,9 +46,15 @@ def balanced_config(half, seed=SEED):
     return af.TrainingConfig(counts={("x0", 0): half, ("x0", 1): half}, seed=seed)
 
 
+# The child interpreter imports the package from this checkout, installed or not.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "assistfair.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 ORACLE_DISPARITY = {

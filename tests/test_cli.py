@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -27,9 +28,15 @@ BASE_CONFIG = {
 }
 
 
+# The child interpreter imports the package from this checkout, installed or not.
+SRC = Path(__file__).resolve().parent.parent / "src"
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "assistfair.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 def write_config(path, **overrides):
@@ -90,8 +97,10 @@ class TestSimulate:
         {"counts": {"x0": [4.5, 4]}},
         {"noise_var": float("inf")},
         {"noise_var": 10**400},
+        {"counts": {"x0": [0, 4]}},
     ], ids=["reps-string", "counts-one-element", "unknown-covariate", "prior-list",
-            "counts-fractional", "noise-var-infinity", "noise-var-beyond-float"])
+            "counts-fractional", "noise-var-infinity", "noise-var-beyond-float",
+            "counts-empty-cell"])
     def test_malformed_config_exits_2(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, norm
 
 import assistfair as af
 
@@ -168,3 +169,30 @@ class TestBiasVariance:
         with pytest.raises(af.ConfigError):
             af.bias_variance_decomp(canonical_spec(), canonical_prior(),
                                     canonical_config(), af.RuleKind.D0, 1)
+
+
+class TestCalibration:
+    def test_three_se_bands_cover_closed_forms_at_the_normal_rate(self):
+        # 200 seeds of the canonical example (4 labels per group, n = 8) at
+        # 2,000 replications each. A calibrated 3-SE band misses with
+        # probability 2 * P(Z > 3) ~ 0.0027, so the miss count is Binomial.
+        table = af.example_closed_forms(1.0, 1.0, 8, 1.0, 0.0, 0.0, 0.0)
+        misses, trials = 0, 0
+        for seed in range(200):
+            report = af.mc_expected_metrics(canonical_spec(), canonical_prior(),
+                                            canonical_config(seed=seed), None, 2000)
+            for kind in af.RuleKind:
+                stats = report.rule(kind)
+                checks = [(stats.expected_risk, table.expected_risk[kind])]
+                if kind is not af.RuleKind.F_MINUS:  # its disparity is exactly 0
+                    checks.append((stats.avg_disparity, table.expected_disparity[kind]))
+                for est, target in checks:
+                    if est.se <= 1e-12:
+                        # the same value in every replication: no band to calibrate
+                        assert est.value == pytest.approx(target, abs=1e-12)
+                        continue
+                    trials += 1
+                    misses += abs(est.value - target) > 3 * est.se
+        p = 2 * norm.sf(3.0)
+        low, high = binom.ppf(1e-6, trials, p), binom.isf(1e-6, trials, p)
+        assert low <= misses <= high, (misses, trials, low, high)

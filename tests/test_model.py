@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import ks_2samp
 
 import assistfair as af
 from assistfair import rng
@@ -100,18 +102,47 @@ class TestTraining:
         for cell in self.COUNTS:
             assert one[cell].tobytes() == two[cell].tobytes()
 
-    def test_cell_means_use_per_cell_streams(self):
+    def test_cell_means_are_one_normal_draw_per_cell(self):
         spec = two_x_spec()
         cfg = af.TrainingConfig(counts=self.COUNTS, seed=4)
-        reps = (1 << 16) + 64  # replications run in chunks of 2**16 at these counts
+        reps = (1 << 16) + 64
         means = af.replicate_cell_means(spec, cfg, reps)
-        sd = math.sqrt(spec.noise_var)
         for r in (0, 1, (1 << 16) - 1, 1 << 16, reps - 1):
             seed = rng.replication_seed(4, r)
             for (x, g), n in self.COUNTS.items():
                 key = rng.derive_key(seed, rng.STREAM_TRAINING, spec.cell_index(x, g))
-                labels = rng.normal_stream(key, n, mean=spec.mu(x, g), sd=sd)
-                assert abs(means[(x, g)][r] - labels.mean()) <= 1e-12
+                u0 = rng.uniform_stream(key, 1)[0]
+                expected = spec.mu(x, g) + math.sqrt(spec.noise_var / n) * ndtri(u0)
+                assert abs(means[(x, g)][r] - expected) <= 1e-12
+
+    def test_cell_means_are_a_prefix_of_longer_runs(self):
+        spec = two_x_spec()
+        cfg = af.TrainingConfig(counts=self.COUNTS, seed=31)
+        short = af.replicate_cell_means(spec, cfg, 3000)
+        long = af.replicate_cell_means(spec, cfg, 6000)
+        for cell in self.COUNTS:
+            assert short[cell].tobytes() == long[cell][:3000].tobytes()
+
+    def test_cell_means_match_label_averages_in_distribution(self):
+        # the engine's direct draw of each mean against averages of n labels
+        # from rng.normal_stream, one independent stream per replication
+        spec = two_x_spec()
+        cfg = af.TrainingConfig(counts=self.COUNTS, seed=12)
+        reps = 4000
+        means = af.replicate_cell_means(spec, cfg, reps)
+        sd = math.sqrt(spec.noise_var)
+        for (x, g), n in self.COUNTS.items():
+            labels = np.asarray([
+                rng.normal_stream(rng.derive_key(77, spec.cell_index(x, g), r), n,
+                                  mean=spec.mu(x, g), sd=sd).mean()
+                for r in range(reps)
+            ])
+            var = spec.noise_var / n
+            for sample in (means[(x, g)], labels):
+                assert abs(sample.mean() - spec.mu(x, g)) < 4 * math.sqrt(var / reps)
+                # the variance of a sample variance of Normals is 2 var^2 / (reps - 1)
+                assert abs(sample.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (reps - 1))
+            assert ks_2samp(means[(x, g)], labels).pvalue > 1e-4
 
     def test_cell_mean_distribution(self):
         spec = example_spec(mu0=-1.0, mu1=2.0)
