@@ -21,14 +21,14 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import rng
 from .errors import (AssistFairError, ConfigError, EmptyCellError, PreconditionError,
                      SpecValidationError)
 from .figures import Series, VLine, write_chart
 from .metrics import MetricsReport, mc_expected_metrics
 from .model import (
-    ConjugateNormalPrior,
-    GridPrior,
     ProblemSpec,
     RuleKind,
     TrainingConfig,
@@ -57,6 +57,7 @@ __all__ = ["main", "entrypoint"]
 DEFAULT_SEED = 20240817
 DEFAULT_LEVEL = 0.95
 DEFAULT_REPS = 1000
+DEFAULT_N_GRID = [10, 100, 1000]  # per-cell sample sizes of the consistency claim
 
 CSV_HEADER = ("rule", "x", "quantity", "value", "se", "reps", "seed")
 SWEEP_AXES = ("n", "delta", "delta_mu", "noise_var", "tau_sq")
@@ -243,36 +244,51 @@ def cmd_closed_form(args) -> int:
     return 0
 
 
-def _example_document(*, delta_mu: float, delta: float, n_per_group: int,
-                      sigma_sq: float = 1.0, tau_sq: float = 1.0,
-                      mu_bar: float = 0.0, beta_bar: float = 0.0,
-                      seed: int = DEFAULT_SEED, reps: int = DEFAULT_REPS) -> dict:
+def _example_document(delta_mu: Mapping, *, n_per_group: int, reps: int,
+                      mu_bar: float = 0.0) -> dict:
+    """The paper's balanced example at each named covariate value.
+
+    ``delta_mu`` maps covariate names to their true gap; the values are
+    equally likely, with sigma_sq = tau_sq = 1, beta_bar = 0 and prior gap 1.
+    """
+    names = list(delta_mu)
     return {
-        "covariates": ["x0"],
-        "covariate_probs": {"x0": 1.0},
-        "group_probs": {"x0": 0.5},
-        "true_means": {"x0": [mu_bar - delta_mu / 2.0, mu_bar + delta_mu / 2.0]},
-        "noise_var": sigma_sq,
-        "counts": {"x0": [n_per_group, n_per_group]},
-        "seed": seed,
+        "covariates": names,
+        "covariate_probs": {x: 1.0 / len(names) for x in names},
+        "group_probs": {x: 0.5 for x in names},
+        "true_means": {x: [mu_bar - gap / 2.0, mu_bar + gap / 2.0]
+                       for x, gap in delta_mu.items()},
+        "noise_var": 1.0,
+        "counts": {x: [n_per_group, n_per_group] for x in names},
+        "seed": DEFAULT_SEED,
         "reps": reps,
         "prior": {
             "kind": "conjugate_normal",
-            "beta": {"x0": [beta_bar - delta / 2.0, beta_bar + delta / 2.0]},
-            "tau_sq": tau_sq,
+            "beta": {x: [-0.5, 0.5] for x in names},
+            "tau_sq": 1.0,
         },
     }
 
 
+def _consistency_document() -> dict:
+    """Shared true means 0.3 under a grid prior on mu1 == mu0; counts come from n_grid."""
+    doc = _example_document({"x0": 0.0}, mu_bar=0.3, n_per_group=10, reps=500)
+    mu1, mu0, w = diagonal_grid(*normal_marginal_grid(0.0, 1.0))
+    doc["prior"] = {"kind": "grid", "points": {"x0": np.column_stack((mu1, mu0, w)).tolist()}}
+    doc["n_grid"] = list(DEFAULT_N_GRID)
+    return doc
+
+
+# The default problem of every claim, in the order ``verify`` lists them.
 STANDARD_CLAIM_DOCUMENTS = {
-    "thm1": lambda: _example_document(delta_mu=0.2, delta=1.0, n_per_group=200,
-                                      reps=1000),
-    "cor1": lambda: _example_document(delta_mu=0.2, delta=1.0, n_per_group=200,
-                                      reps=1000),
-    "thm2": lambda: _example_document(delta_mu=0.5, delta=1.0, n_per_group=200,
-                                      reps=1000),
-    "remark1": lambda: _example_document(delta_mu=0.0, delta=1.0, n_per_group=4,
-                                         reps=20000),
+    "remark1": lambda: _example_document({"x0": 0.0}, n_per_group=4, reps=20000),
+    "remark2": lambda: _example_document({"x0": 0.0}, n_per_group=6, reps=20000),
+    "remark3": lambda: _example_document({"delta_mu=0.8": 0.8, "delta_mu=0.2": 0.2},
+                                         n_per_group=8, reps=20000),
+    "thm1": lambda: _example_document({"x0": 0.2}, n_per_group=200, reps=1000),
+    "cor1": lambda: _example_document({"x0": 0.2}, n_per_group=200, reps=1000),
+    "thm2": lambda: _example_document({"x0": 0.5}, n_per_group=200, reps=1000),
+    "consistency": _consistency_document,
 }
 
 
@@ -291,101 +307,56 @@ def _merge_outcomes(claim_id: str, outcomes: Mapping) -> VerificationOutcome:
     )
 
 
-def _consistency_prior(spec: ProblemSpec) -> GridPrior:
-    points, weights = normal_marginal_grid(0.0, 1.0)
-    mu1, mu0, w = diagonal_grid(points, weights)
-    return GridPrior(points={x: (mu1, mu0, w) for x in spec.covariates})
+def _n_grid(doc: Mapping) -> list:
+    n_grid = doc.get("n_grid", DEFAULT_N_GRID)
+    if not isinstance(n_grid, list) or not n_grid:
+        raise ConfigError(f"n_grid must be a non-empty list of integers, got {n_grid!r}")
+    for n in n_grid:
+        if _integer(n, "n_grid entry") < 1:
+            raise ConfigError(f"n_grid entries must be positive, got {n!r}")
+    return n_grid
 
 
-def _run_verify_claim(claim: str, args) -> tuple:
-    """Returns (outcome-ish object, passed flag, json payload)."""
-    doc = load_document(args.config) if args.config else None
-    seed = args.seed
-    reps = args.reps
+def _run_verify_claim(claim: str, args):
+    """Parse the claim's document, run its verifier and return the result.
 
-    if claim == "remark2":
-        if doc is not None:
-            spec, prior, config, doc_reps, _ = parse_bundle(doc, seed=seed, reps=reps)
-            example = derive_example_params(spec, prior, config)
-            outcome = verify_remark2(spec.noise_var, prior.tau_sq, example.n,
-                                     example.delta_mu, doc_reps, config.seed,
-                                     beta_bar=example.beta_bar, mu_bar=example.mu_bar)
-        else:
-            outcome = verify_remark2(1.0, 1.0, 12, 0.0, reps if reps is not None else 20000,
-                                     seed if seed is not None else DEFAULT_SEED)
-        return outcome, outcome.passed(args.level), outcome.to_json_dict()
-
-    if claim == "remark3":
-        if doc is not None:
-            spec, _prior, config, doc_reps, _ = parse_bundle(doc, seed=seed, reps=reps)
-            runs = {str(x): verify_machine_regimes(spec, config, x, doc_reps)
-                    for x in spec.covariates}
-            outcome = runs[str(spec.covariates[0])] if len(runs) == 1 else \
-                _merge_outcomes("remark3", runs)
-        else:
-            use_reps = reps if reps is not None else 20000
-            use_seed = seed if seed is not None else DEFAULT_SEED
-            runs = {}
-            for i, delta_mu in enumerate((0.8, 0.2)):
-                run_doc = _example_document(delta_mu=delta_mu, delta=1.0, n_per_group=8,
-                                            seed=rng.derive_key(use_seed,
-                                                                rng.STREAM_SCENARIO, i),
-                                            reps=use_reps)
-                spec, _prior, config, run_reps, _ = parse_bundle(run_doc)
-                runs[f"delta_mu={delta_mu:g}"] = verify_machine_regimes(
-                    spec, config, spec.covariates[0], run_reps)
-            outcome = _merge_outcomes("remark3", runs)
-        return outcome, outcome.passed(args.level), outcome.to_json_dict()
-
+    The document is ``--config`` or the claim's standard one. Verifiers are
+    looked up by name at call time, so wrappers installed on this module see
+    every call.
+    """
+    doc = load_document(args.config) if args.config else STANDARD_CLAIM_DOCUMENTS[claim]()
+    spec, prior, config, reps, _ = parse_bundle(doc, seed=args.seed, reps=args.reps)
     if claim == "consistency":
-        if doc is not None:
-            spec, prior, config, doc_reps, _ = parse_bundle(doc, seed=seed, reps=reps)
-            if not isinstance(prior, GridPrior):
-                raise ConfigError("consistency needs a grid prior")
-            n_grid = doc.get("n_grid", [10, 100, 1000])
-            result = verify_consistency(prior, spec, n_grid, doc_reps, config.seed)
-        else:
-            spec = ProblemSpec(
-                covariates=("x0",), covariate_probs={"x0": 1.0},
-                group_probs={"x0": 0.5},
-                true_means={("x0", 0): 0.3, ("x0", 1): 0.3}, noise_var=1.0,
-            )
-            prior = _consistency_prior(spec)
-            result = verify_consistency(
-                prior, spec, [10, 100, 1000], reps if reps is not None else 500,
-                seed if seed is not None else DEFAULT_SEED)
-        payload = result.to_json_dict()
-        payload["passed"] = result.passed()
-        return result, result.passed(), payload
-
-    if doc is None:
-        doc = STANDARD_CLAIM_DOCUMENTS[claim]()
-    spec, prior, config, use_reps, _ = parse_bundle(doc, seed=seed, reps=reps)
-    if claim == "thm1":
-        outcome = verify_disparity_reversal(spec, prior, config, use_reps)
-    elif claim == "cor1":
-        outcome = verify_reordering(spec, prior, config, use_reps)
-    elif claim == "thm2":
-        outcome = verify_tradeoff_reversal(spec, prior, config, use_reps)
-    elif claim == "remark1":
-        if not isinstance(prior, ConjugateNormalPrior):
-            raise ConfigError("remark1 needs a conjugate_normal prior")
-        outcome = verify_remark1(spec, prior, config, use_reps)
-    else:
-        raise ConfigError(f"unknown claim {claim!r}")
-    return outcome, outcome.passed(args.level), outcome.to_json_dict()
+        return verify_consistency(prior, spec, _n_grid(doc), reps, config.seed)
+    if claim == "remark2":
+        example = derive_example_params(spec, prior, config)
+        return verify_remark2(spec.noise_var, prior.tau_sq, example.n, example.delta_mu,
+                              reps, config.seed, beta_bar=example.beta_bar,
+                              mu_bar=example.mu_bar)
+    if claim == "remark3":
+        return _merge_outcomes("remark3", {str(x): verify_machine_regimes(spec, config, x, reps)
+                                           for x in spec.covariates})
+    verifier = {
+        "thm1": verify_disparity_reversal,
+        "cor1": verify_reordering,
+        "thm2": verify_tradeoff_reversal,
+        "remark1": verify_remark1,
+    }[claim]
+    return verifier(spec, prior, config, reps)
 
 
 def cmd_verify(args) -> int:
-    outcome, passed, payload = _run_verify_claim(args.claim, args)
-    if isinstance(outcome, VerificationOutcome):
-        payload = dict(payload)
+    result = _run_verify_claim(args.claim, args)
+    payload = result.to_json_dict()
+    if isinstance(result, VerificationOutcome):
+        passed = result.passed(args.level)
         payload["level"] = args.level
-        payload["passed"] = passed
-        print(outcome.summary_line(args.level))
+        print(result.summary_line(args.level))
     else:
-        print(outcome.summary_line())
+        passed = result.passed()
+        print(result.summary_line())
         print(f"passed={passed}")
+    payload["passed"] = passed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"verify_{args.claim}.json"
@@ -506,8 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     closed.set_defaults(handler=cmd_closed_form)
 
     verify = sub.add_parser("verify", help="verify one claim empirically")
-    verify.add_argument("claim", choices=("remark1", "remark2", "remark3", "thm1",
-                                          "cor1", "thm2", "consistency"))
+    verify.add_argument("claim", choices=tuple(STANDARD_CLAIM_DOCUMENTS))
     verify.add_argument("--config", default=None, help="JSON config document")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--reps", type=int, default=None)

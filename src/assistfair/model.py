@@ -284,6 +284,7 @@ class GridPrior:
 
     def __post_init__(self):
         frozen = {}
+        log_weights = {}  # every posterior call needs them; they depend on the prior alone
         for x, (mu1, mu0, w) in self.points.items():
             mu1 = np.asarray(mu1, dtype=np.float64)
             mu0 = np.asarray(mu0, dtype=np.float64)
@@ -301,10 +302,14 @@ class GridPrior:
                 )
             if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu0))):
                 raise SpecValidationError(f"grid support at x={x!r} contains non-finite values")
-            for arr in (mu1, mu0, w):
+            with np.errstate(divide="ignore"):
+                logw = np.log(w)
+            for arr in (mu1, mu0, w, logw):
                 arr.flags.writeable = False
             frozen[x] = (mu1, mu0, w)
+            log_weights[x] = logw
         object.__setattr__(self, "points", frozen)
+        object.__setattr__(self, "_log_weights", log_weights)
 
     def support(self, x, g: int) -> np.ndarray:
         mu1, mu0, _ = self.points[x]
@@ -374,8 +379,7 @@ class GridPrior:
         exponentiation, so the row underflows only when all its mass is gone.
         """
         signals = signal.reshape(-1)
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.weights(x))
+        logw = self._log_weights[x]
         out = np.empty(signals.shape[0], dtype=np.float64)
         rows = max(1, _GRID_CHUNK_ELEMENTS // max(1, centers.size))
         for start in range(0, signals.shape[0], rows):

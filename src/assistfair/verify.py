@@ -15,7 +15,7 @@ balanced design; strict inequalities count ties as failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .oracle import (
 from .simulate import replicate_rule_values
 
 __all__ = [
-    "CLAIM_IDS",
     "VerificationOutcome",
     "ConsistencyResult",
     "weak_le",
@@ -54,8 +53,6 @@ __all__ = [
     "verify_remark2",
     "verify_consistency",
 ]
-
-CLAIM_IDS = ("remark1", "remark2", "remark3", "thm1", "cor1", "thm2")
 
 WEAK_REL_TOL = 1e-9
 WEAK_ABS_TOL = 1e-12
@@ -218,6 +215,33 @@ def _disparity_arrays(values: Mapping, x) -> dict:
     return {kind: values[kind][(x, 1)] - values[kind][(x, 0)] for kind in values}
 
 
+def _replay_chain(claim_id: str, spec: ProblemSpec, prior: Prior, config: TrainingConfig,
+                  reps: int, delta: float | None, kinds: Sequence, strict_lower: bool,
+                  checks) -> VerificationOutcome:
+    """Run one claim's per-replication inequality chain.
+
+    ``checks(values, x, delta)`` maps inequality names to boolean arrays over
+    replications; a replication succeeds when every check holds at every
+    covariate value.
+    """
+    validate_spec(spec)
+    _require_counts(spec, config)
+    deltas = _resolve_deltas(spec, prior, config, delta)
+    _gap_preconditions(spec, deltas, strict_lower=strict_lower)
+    values = replicate_rule_values(spec, prior, config, kinds, reps)
+    ok = np.ones(reps, dtype=bool)
+    per_inequality = {}
+    for x in spec.covariates:
+        for name, holds in checks(values, x, deltas[x]).items():
+            per_inequality[f"{name}@{x}"] = float(holds.mean())
+            ok &= holds
+    return VerificationOutcome(
+        claim_id=claim_id, reps=reps, success_fraction=float(ok.mean()),
+        per_inequality=per_inequality,
+        parameters=_echo_parameters(spec, config, deltas, prior),
+    )
+
+
 def verify_disparity_reversal(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
                               reps: int, *, delta: float | None = None) -> VerificationOutcome:
     """Disparity reversal: d+ falls below the believed disparity, blind stays at it.
@@ -225,29 +249,17 @@ def verify_disparity_reversal(spec: ProblemSpec, prior: Prior, config: TrainingC
     Per replication and covariate value the chain is
     disparity(d+) < delta <= disparity(d-), disparity(d0).
     """
-    validate_spec(spec)
-    _require_counts(spec, config)
-    deltas = _resolve_deltas(spec, prior, config, delta)
-    _gap_preconditions(spec, deltas, strict_lower=False)
-    kinds = [RuleKind.D0, RuleKind.D_MINUS, RuleKind.D_PLUS]
-    values = replicate_rule_values(spec, prior, config, kinds, reps)
-    ok = np.ones(reps, dtype=bool)
-    per_inequality = {}
-    for x in spec.covariates:
-        d = deltas[x]
+    def checks(values, x, d):
         disp = _disparity_arrays(values, x)
-        strict = disp[RuleKind.D_PLUS] < d
-        weak_minus = weak_le(d, disp[RuleKind.D_MINUS])
-        weak_zero = weak_le(d, disp[RuleKind.D0])
-        per_inequality[f"d_plus_lt_delta@{x}"] = float(strict.mean())
-        per_inequality[f"delta_le_d_minus@{x}"] = float(weak_minus.mean())
-        per_inequality[f"delta_le_d0@{x}"] = float(weak_zero.mean())
-        ok &= strict & weak_minus & weak_zero
-    return VerificationOutcome(
-        claim_id="thm1", reps=reps, success_fraction=float(ok.mean()),
-        per_inequality=per_inequality,
-        parameters=_echo_parameters(spec, config, deltas, prior),
-    )
+        return {
+            "d_plus_lt_delta": disp[RuleKind.D_PLUS] < d,
+            "delta_le_d_minus": weak_le(d, disp[RuleKind.D_MINUS]),
+            "delta_le_d0": weak_le(d, disp[RuleKind.D0]),
+        }
+
+    return _replay_chain("thm1", spec, prior, config, reps, delta,
+                         [RuleKind.D0, RuleKind.D_MINUS, RuleKind.D_PLUS],
+                         strict_lower=False, checks=checks)
 
 
 _REORDER_PAIRS = (
@@ -267,24 +279,13 @@ def verify_reordering(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     Per replication: |disparity| of d- and d0 strictly above that of d+ and
     f+, which in turn strictly exceed the blind machine's zero.
     """
-    validate_spec(spec)
-    _require_counts(spec, config)
-    deltas = _resolve_deltas(spec, prior, config, delta)
-    _gap_preconditions(spec, deltas, strict_lower=False)
-    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps)
-    ok = np.ones(reps, dtype=bool)
-    per_inequality = {}
-    for x in spec.covariates:
+    def checks(values, x, d):
         mag = {kind: np.abs(arr) for kind, arr in _disparity_arrays(values, x).items()}
-        for hi, lo in _REORDER_PAIRS:
-            holds = mag[hi] > mag[lo]
-            per_inequality[f"abs_{hi.value}_gt_abs_{lo.value}@{x}"] = float(holds.mean())
-            ok &= holds
-    return VerificationOutcome(
-        claim_id="cor1", reps=reps, success_fraction=float(ok.mean()),
-        per_inequality=per_inequality,
-        parameters=_echo_parameters(spec, config, deltas, prior),
-    )
+        return {f"abs_{hi.value}_gt_abs_{lo.value}": mag[hi] > mag[lo]
+                for hi, lo in _REORDER_PAIRS}
+
+    return _replay_chain("cor1", spec, prior, config, reps, delta, list(RuleKind),
+                         strict_lower=False, checks=checks)
 
 
 def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
@@ -295,43 +296,30 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
     disparity(d+) < disparity(d-), risk(d+) < risk(d-) at x, while
     disparity(f+) > disparity(f-) and each cell's risk under f+ is below f-.
     """
-    validate_spec(spec)
-    _require_counts(spec, config)
-    deltas = _resolve_deltas(spec, prior, config, delta)
-    _gap_preconditions(spec, deltas, strict_lower=True)
-    values = replicate_rule_values(spec, prior, config, list(RuleKind), reps)
-    ok = np.ones(reps, dtype=bool)
-    per_inequality = {}
-    balance = {}
-    for x in spec.covariates:
-        n1, n0 = config.count(x, 1), config.count(x, 0)
-        balance[str(x)] = min(n1, n0) / (n1 + n0)
+    def checks(values, x, d):
         disp = _disparity_arrays(values, x)
-        risk_x = {}
-        for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS):
-            risk_x[kind] = sum(
-                spec.p_group(x, g) * pointwise_risk(values[kind][(x, g)], spec, x, g)
-                for g in (0, 1)
-            )
-        checks = {
+        risk_x = {
+            kind: sum(spec.p_group(x, g) * pointwise_risk(values[kind][(x, g)], spec, x, g)
+                      for g in (0, 1))
+            for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS)
+        }
+        out = {
             "assist_disparity": disp[RuleKind.D_PLUS] < disp[RuleKind.D_MINUS],
             "assist_risk": risk_x[RuleKind.D_PLUS] < risk_x[RuleKind.D_MINUS],
             "machine_disparity": disp[RuleKind.F_PLUS] > disp[RuleKind.F_MINUS],
         }
         for g in (0, 1):
-            checks[f"machine_risk_g{g}"] = (
+            out[f"machine_risk_g{g}"] = (
                 pointwise_risk(values[RuleKind.F_PLUS][(x, g)], spec, x, g)
                 < pointwise_risk(values[RuleKind.F_MINUS][(x, g)], spec, x, g)
             )
-        for name, holds in checks.items():
-            per_inequality[f"{name}@{x}"] = float(holds.mean())
-            ok &= holds
-    params = _echo_parameters(spec, config, deltas, prior)
-    params["balance_fraction"] = balance
-    return VerificationOutcome(
-        claim_id="thm2", reps=reps, success_fraction=float(ok.mean()),
-        per_inequality=per_inequality, parameters=params,
-    )
+        return out
+
+    outcome = _replay_chain("thm2", spec, prior, config, reps, delta, list(RuleKind),
+                            strict_lower=True, checks=checks)
+    balance = {str(x): min(config.count(x, 1), config.count(x, 0)) / config.total(x)
+               for x in spec.covariates}
+    return replace(outcome, parameters={**outcome.parameters, "balance_fraction": balance})
 
 
 def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
@@ -555,6 +543,8 @@ def verify_consistency(prior: GridPrior, spec: ProblemSpec, n_grid: Sequence,
     support excludes the truth is flagged instead of failed silently.
     """
     validate_spec(spec)
+    if prior.kind != GridPrior.kind:
+        raise PreconditionError("consistency needs a grid prior")
     if not n_grid:
         raise PreconditionError("n_grid must be non-empty")
     if any(n < 1 for n in n_grid):

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assistfair.cli import main, write_json
+from assistfair.cli import STANDARD_CLAIM_DOCUMENTS, main, write_json
 
 BASE_CONFIG = {
     "covariates": ["x0"],
@@ -264,6 +264,47 @@ class TestVerify:
     def test_unknown_claim_is_usage_error(self):
         proc = run_cli("verify", "nonsense")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("claim", list(STANDARD_CLAIM_DOCUMENTS))
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, claim, seed):
+        out = tmp_path / "v"
+        code = main(["verify", claim, "--seed", seed, "--reps", "20", "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("claim", list(STANDARD_CLAIM_DOCUMENTS))
+    def test_default_run_is_the_standard_document(self, tmp_path, claim):
+        cfg = tmp_path / "standard.json"
+        cfg.write_text(json.dumps(STANDARD_CLAIM_DOCUMENTS[claim]()), encoding="utf-8")
+        blobs = []
+        for name, extra in (("default", []), ("config", ["--config", str(cfg)])):
+            out = tmp_path / name
+            code = main(["verify", claim, "--reps", "30", "--out", str(out), *extra])
+            assert code in (0, 1)
+            blobs.append((out / f"verify_{claim}.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("n_grid", ["abc", 10, [10.5], [True], [], [0]])
+    def test_malformed_n_grid_exits_2(self, tmp_path, capsys, n_grid):
+        doc = STANDARD_CLAIM_DOCUMENTS["consistency"]()
+        doc["n_grid"] = n_grid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "v"
+        code = main(["verify", "consistency", "--config", str(cfg), "--reps", "5",
+                     "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    def test_remark1_needs_a_conjugate_prior(self, tmp_path, capsys):
+        grid = {"kind": "grid", "points": {"x0": [[0.5, -0.5, 0.5], [0.0, 0.0, 0.5]]}}
+        cfg = write_config(tmp_path / "cfg.json", prior=grid)
+        out = tmp_path / "v"
+        code = main(["verify", "remark1", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "conjugate-Normal prior" in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweep:

@@ -205,6 +205,10 @@ class TestConsistency:
         assert not out.passed()
         assert out.notes
 
+    def test_conjugate_prior_is_a_precondition_error(self):
+        with pytest.raises(af.PreconditionError, match="consistency needs a grid prior"):
+            af.verify_consistency(biased_prior(), single_x_spec(0.0), [10, 100], 20, SEED)
+
 
 class TestDeterminism:
     def test_verifier_reruns_identically(self):
