@@ -17,11 +17,9 @@ from .errors import (
     SpecValidationError,
 )
 from .metrics import (
-    CellBiasVariance,
     Estimate,
     MetricsReport,
     RuleStats,
-    bias_variance_decomp,
     mc_expected_metrics,
     pointwise_risk,
 )
@@ -33,7 +31,6 @@ from .model import (
     ProblemSpec,
     RuleKind,
     TrainingConfig,
-    config_to_document,
     dense_grid_from_conjugate,
     derive_example_params,
     diagonal_grid,
@@ -41,9 +38,7 @@ from .model import (
     document_to_prior,
     document_to_spec,
     normal_marginal_grid,
-    prior_to_document,
     product_grid,
-    spec_to_document,
     validate_config,
     validate_spec,
 )
@@ -78,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssistFairError",
-    "CellBiasVariance",
     "ClosedFormTable",
     "ConfigError",
     "ConjugateNormalPrior",
@@ -99,9 +93,7 @@ __all__ = [
     "SpecValidationError",
     "TrainingConfig",
     "VerificationOutcome",
-    "bias_variance_decomp",
     "classify_regime",
-    "config_to_document",
     "delta_threshold_example",
     "dense_grid_from_conjugate",
     "derive_example_params",
@@ -114,12 +106,10 @@ __all__ = [
     "mc_expected_metrics",
     "normal_marginal_grid",
     "pointwise_risk",
-    "prior_to_document",
     "product_grid",
     "replicate_cell_means",
     "replicate_rule_values",
     "rule_values_from_cell_means",
-    "spec_to_document",
     "validate_config",
     "validate_spec",
     "verify_consistency",

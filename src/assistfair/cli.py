@@ -184,6 +184,10 @@ def _csv_cell(value) -> str:
 
 
 def write_csv_rows(path, rows: Sequence, header: Sequence = CSV_HEADER) -> None:
+    """A NaN or infinity raises before the file or its directory is created."""
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise ConfigError(f"refusing to write {path}: a result is not finite")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -192,8 +196,13 @@ def write_csv_rows(path, rows: Sequence, header: Sequence = CSV_HEADER) -> None:
 
 
 def write_json(path, payload) -> None:
-    """Strict JSON: a NaN or infinity raises before anything is written."""
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    """Strict JSON: a NaN or infinity raises before the file or its directory
+    is created."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"refusing to write {path}: a result is not finite") from None
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -221,8 +230,8 @@ def cmd_simulate(args) -> int:
     spec, prior, config, reps, kinds = parse_bundle(doc, seed=args.seed, reps=args.reps)
     report = mc_expected_metrics(spec, prior, config, kinds, reps)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     include_excess = getattr(args, "excess_risk", False)
+    # the CSV holds every result the JSON holds, so a non-finite one stops both
     write_csv_rows(out / "metrics.csv", report.to_rows(include_excess=include_excess))
     write_json(out / "metrics.json", report.to_json_dict(include_excess=include_excess))
     _print_report_summary(report)
@@ -237,7 +246,6 @@ def cmd_closed_form(args) -> int:
     print(text, end="")
     if args.out is not None:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_json(out / "closed_form.json", table.to_json_dict())
         (out / "closed_form.txt").write_text(text, encoding="utf-8")
         print(f"wrote {out / 'closed_form.json'} and {out / 'closed_form.txt'}")
@@ -358,7 +366,6 @@ def cmd_verify(args) -> int:
         print(f"passed={passed}")
     payload["passed"] = passed
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / f"verify_{args.claim}.json"
     write_json(path, payload)
     print(f"wrote {path}")
@@ -390,7 +397,6 @@ def cmd_sweep(args) -> int:
             rows.append(tuple(point) + row)
     header = tuple(axis_names) + CSV_HEADER
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv_rows(out / "sweep.csv", rows, header=header)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows over {len(grid)} points)")
     if len(axis_names) == 1:
@@ -499,10 +505,15 @@ def main(argv: Sequence | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # an overflow shows as a non-finite result, which the writers refuse
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except (ConfigError, SpecValidationError, PreconditionError, EmptyCellError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:  # a float ** whose result is out of range
+        print("error: a result overflows a float at these inputs", file=sys.stderr)
         return 2
     except AssistFairError as exc:
         print(f"error: {exc}", file=sys.stderr)

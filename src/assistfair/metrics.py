@@ -24,10 +24,8 @@ __all__ = [
     "Estimate",
     "RuleStats",
     "MetricsReport",
-    "CellBiasVariance",
     "pointwise_risk",
     "mc_expected_metrics",
-    "bias_variance_decomp",
 ]
 
 AGGREGATE_X = "all"
@@ -127,17 +125,6 @@ class MetricsReport:
                 "rules": rules}
 
 
-@dataclass(frozen=True)
-class CellBiasVariance:
-    """Monte Carlo bias/variance of one rule at one cell."""
-
-    bias: float
-    variance: float
-    bias_se: float
-    variance_se: float
-    reps: int
-
-
 def pointwise_risk(rule_value, spec: ProblemSpec, x, g: int):
     """Risk of deciding ``rule_value`` at cell (x, g): squared bias plus noise.
 
@@ -195,31 +182,3 @@ def mc_expected_metrics(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
     rules = {kind: _rule_stats(kind, values[kind], spec) for kind in kinds}
     return MetricsReport(rules=rules, reps=reps, seed=config.seed,
                          noise_var=spec.noise_var, covariates=spec.covariates)
-
-
-def bias_variance_decomp(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
-                         rule_kind: RuleKind, reps: int) -> Mapping:
-    """Per-cell Monte Carlo bias and variance of one rule across replications.
-
-    Returns {(x, g): CellBiasVariance}. The variance standard error uses the
-    fourth-moment formula, exact for affine-in-Normal rules and asymptotically
-    valid otherwise.
-    """
-    if reps < 2:
-        raise ConfigError("bias_variance_decomp needs reps >= 2")
-    values = replicate_rule_values(spec, prior, config, [rule_kind], reps)[rule_kind]
-    out = {}
-    for (x, g), samples in values.items():
-        mean = float(samples.mean())
-        var = float(samples.var(ddof=1))
-        centered = samples - mean
-        m4 = float(np.mean(centered ** 4))
-        var_se = math.sqrt(max(m4 - var * var, 0.0) / reps)
-        out[(x, g)] = CellBiasVariance(
-            bias=mean - spec.mu(x, g),
-            variance=var,
-            bias_se=float(samples.std(ddof=1) / math.sqrt(reps)),
-            variance_se=var_se,
-            reps=reps,
-        )
-    return out

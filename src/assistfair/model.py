@@ -20,7 +20,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .errors import (
 
 __all__ = [
     "PROB_SUM_TOL",
-    "Covariate",
-    "Cell",
     "RuleKind",
     "ProblemSpec",
     "TrainingConfig",
@@ -49,19 +47,13 @@ __all__ = [
     "product_grid",
     "diagonal_grid",
     "dense_grid_from_conjugate",
-    "spec_to_document",
     "document_to_spec",
-    "prior_to_document",
     "document_to_prior",
-    "config_to_document",
     "document_to_config",
 ]
 
 PROB_SUM_TOL = 1e-12
 _MAX_SEED = 2 ** 64
-
-Covariate = Hashable
-Cell = tuple  # (x, g)
 
 
 class RuleKind(enum.Enum):
@@ -79,9 +71,6 @@ class RuleKind(enum.Enum):
             if kind.value == name or kind.name == name:
                 return kind
         raise SpecValidationError(f"unknown rule kind {name!r}")
-
-
-ALL_RULE_KINDS = tuple(RuleKind)
 
 
 @dataclass(frozen=True)
@@ -526,7 +515,7 @@ def dense_grid_from_conjugate(prior: ConjugateNormalPrior, covariates: Sequence,
 
 
 # ---------------------------------------------------------------------------
-# JSON document round-trip
+# JSON config documents
 #
 # A single flat document carries the spec, the training configuration, and
 # the prior:
@@ -613,18 +602,6 @@ def _require_every_covariate(values: Mapping, spec: ProblemSpec, name: str) -> N
             raise ConfigError(f"prior {name} has no entry for covariate {x!r}")
 
 
-def spec_to_document(spec: ProblemSpec) -> dict:
-    return {
-        "covariates": list(spec.covariates),
-        "covariate_probs": {_covariate_key(x): spec.covariate_probs[x] for x in spec.covariates},
-        "group_probs": {_covariate_key(x): spec.group_probs[x] for x in spec.covariates},
-        "true_means": {
-            _covariate_key(x): [spec.mu(x, 0), spec.mu(x, 1)] for x in spec.covariates
-        },
-        "noise_var": spec.noise_var,
-    }
-
-
 def document_to_spec(doc: Mapping) -> ProblemSpec:
     covariates = _field(doc, "covariates")
     if not isinstance(covariates, list) or not all(
@@ -644,16 +621,6 @@ def document_to_spec(doc: Mapping) -> ProblemSpec:
     return validate_spec(spec)
 
 
-def config_to_document(config: TrainingConfig, spec: ProblemSpec) -> dict:
-    return {
-        "counts": {
-            _covariate_key(x): [config.count(x, 0), config.count(x, 1)]
-            for x in spec.covariates
-        },
-        "seed": config.seed,
-    }
-
-
 def document_to_config(doc: Mapping, spec: ProblemSpec) -> TrainingConfig:
     by_key = {_covariate_key(x): x for x in spec.covariates}
     counts = {}
@@ -661,28 +628,6 @@ def document_to_config(doc: Mapping, spec: ProblemSpec) -> TrainingConfig:
         counts[(x, 0)], counts[(x, 1)] = n0, n1
     config = TrainingConfig(counts=counts, seed=_integer(_field(doc, "seed"), "seed"))
     return validate_config(config, spec)
-
-
-def prior_to_document(prior: Prior, spec: ProblemSpec) -> dict:
-    if isinstance(prior, ConjugateNormalPrior):
-        return {
-            "kind": "conjugate_normal",
-            "beta": {
-                _covariate_key(x): [prior.beta[(x, 0)], prior.beta[(x, 1)]]
-                for x in spec.covariates
-            },
-            "tau_sq": prior.tau_sq,
-        }
-    return {
-        "kind": "grid",
-        "points": {
-            _covariate_key(x): [
-                [float(m1), float(m0), float(w)]
-                for m1, m0, w in zip(*prior.points[x])
-            ]
-            for x in spec.covariates
-        },
-    }
 
 
 def document_to_prior(doc: Mapping, spec: ProblemSpec) -> Prior:

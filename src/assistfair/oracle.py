@@ -105,7 +105,6 @@ class RegimeResult:
     risk_aware: float
     risk_blind: float
     counts: tuple
-    group_prob: float
     noise_var: float
 
 
@@ -142,6 +141,10 @@ def example_closed_forms(sigma_sq: float, tau_sq: float, n: int, delta: float,
         RuleKind.D_PLUS: (sigma_sq ** 2 * (level_bias_sq + gap_bias_sq) / shrink ** 2
                           + sigma_sq * (1.0 + n * tau_sq ** 2 / (2.0 * shrink ** 2))),
     }
+    # float ** raises OverflowError, but + and * overflow to inf silently
+    if not all(math.isfinite(v) for table in (expected_disparity, expected_risk)
+               for v in table.values()):
+        raise PreconditionError("closed forms overflow a float at these inputs")
     return ClosedFormTable(
         sigma_sq=sigma_sq, tau_sq=tau_sq, n=n, delta=delta, delta_mu=delta_mu,
         beta_bar=beta_bar, mu_bar=mu_bar,
@@ -222,6 +225,5 @@ def classify_regime(spec: ProblemSpec, config: TrainingConfig, x) -> RegimeResul
     return RegimeResult(
         x=str(x), xi=xi, abs_delta_mu=abs_gap, regime=regime,
         risk_aware=risk_aware, risk_blind=risk_blind,
-        counts=(config.count(x, 1), config.count(x, 0)), group_prob=spec.p_group(x, 1),
-        noise_var=spec.noise_var,
+        counts=(config.count(x, 1), config.count(x, 0)), noise_var=spec.noise_var,
     )

@@ -33,6 +33,7 @@ from .model import (
 
 __all__ = [
     "replicate_cell_means",
+    "pooled_mean",
     "rule_values_from_cell_means",
     "replicate_rule_values",
 ]
@@ -72,6 +73,21 @@ def _require_cells(config: TrainingConfig, spec: ProblemSpec, kind: RuleKind) ->
                     )
 
 
+def pooled_mean(config: TrainingConfig, cell_means: Mapping, x, reps: int) -> np.ndarray:
+    """The blind prediction at ``x``: the count-weighted pool of its cell means.
+
+    ``x`` must have at least one observation; an empty cell contributes nothing.
+    """
+    n1, n0 = config.count(x, 1), config.count(x, 0)
+    blind = np.zeros(reps, dtype=np.float64)
+    if n1:
+        blind += n1 * cell_means[(x, 1)]
+    if n0:
+        blind += n0 * cell_means[(x, 0)]
+    blind /= n1 + n0
+    return blind
+
+
 # The engine reaches each prior's decision surface through these module-level
 # entry points, one per rule and prior kind. The benchmark (perfbench/spans.py)
 # times each kind's posterior by wrapping these names on this module, so the
@@ -109,20 +125,10 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
     """
     kinds = list(rule_kinds)
     reps = next(iter(cell_means.values())).shape[0] if cell_means else 0
-    # the blind prediction: the count-weighted pool of the cell means
     pooled: dict = {}
     if RuleKind.F_MINUS in kinds or RuleKind.D_MINUS in kinds:
-        for x in spec.covariates:
-            n1, n0 = config.count(x, 1), config.count(x, 0)
-            if n1 + n0 == 0:
-                continue
-            blind = np.zeros(reps, dtype=np.float64)
-            if n1:
-                blind += n1 * cell_means[(x, 1)]
-            if n0:
-                blind += n0 * cell_means[(x, 0)]
-            blind /= n1 + n0
-            pooled[x] = blind
+        pooled = {x: pooled_mean(config, cell_means, x, reps)
+                  for x in spec.covariates if config.total(x)}
     # the machine rules need no prior, so ``prior`` may be None
     if prior is not None and prior.kind == "grid":
         posterior_aware, posterior_blind = grid_posterior_aware, grid_posterior_blind

@@ -20,9 +20,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import rng
+from . import rng, simulate
 from .errors import ConfigError, PreconditionError
-from .metrics import mc_expected_metrics, pointwise_risk
+from .metrics import _estimate, mc_expected_metrics, pointwise_risk
 from .model import (
     ConjugateNormalPrior,
     GridPrior,
@@ -34,12 +34,11 @@ from .model import (
     validate_spec,
 )
 from .oracle import (
-    Regime,
     classify_regime,
     delta_threshold_example,
     example_closed_forms,
 )
-from .simulate import replicate_rule_values
+from .simulate import pooled_mean, replicate_rule_values
 
 __all__ = [
     "VerificationOutcome",
@@ -215,6 +214,12 @@ def _disparity_arrays(values: Mapping, x) -> dict:
     return {kind: values[kind][(x, 1)] - values[kind][(x, 0)] for kind in values}
 
 
+def _risk_at_x(spec: ProblemSpec, per_cell: Mapping, x):
+    """Group-weighted pointwise risk at ``x`` of one rule's per-cell values."""
+    return sum(spec.p_group(x, g) * pointwise_risk(per_cell[(x, g)], spec, x, g)
+               for g in (0, 1))
+
+
 def _replay_chain(claim_id: str, spec: ProblemSpec, prior: Prior, config: TrainingConfig,
                   reps: int, delta: float | None, kinds: Sequence, strict_lower: bool,
                   checks) -> VerificationOutcome:
@@ -298,11 +303,8 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
     """
     def checks(values, x, d):
         disp = _disparity_arrays(values, x)
-        risk_x = {
-            kind: sum(spec.p_group(x, g) * pointwise_risk(values[kind][(x, g)], spec, x, g)
-                      for g in (0, 1))
-            for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS)
-        }
+        risk_x = {kind: _risk_at_x(spec, values[kind], x)
+                  for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS)}
         out = {
             "assist_disparity": disp[RuleKind.D_PLUS] < disp[RuleKind.D_MINUS],
             "assist_risk": risk_x[RuleKind.D_PLUS] < risk_x[RuleKind.D_MINUS],
@@ -332,27 +334,23 @@ def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
     _require_se_reps("remark3", reps)
     validate_spec(spec)
     regime = classify_regime(spec, config, x)
-    values = replicate_rule_values(spec, None, config,
-                                   [RuleKind.F_PLUS, RuleKind.F_MINUS], reps)
-    risk = {}
-    for kind in (RuleKind.F_PLUS, RuleKind.F_MINUS):
-        risk[kind] = sum(
-            spec.p_group(x, g) * pointwise_risk(values[kind][(x, g)], spec, x, g)
-            for g in (0, 1)
-        )
-    mean_aware = float(risk[RuleKind.F_PLUS].mean())
-    mean_blind = float(risk[RuleKind.F_MINUS].mean())
-    se_aware = float(risk[RuleKind.F_PLUS].std(ddof=1) / math.sqrt(reps))
-    se_blind = float(risk[RuleKind.F_MINUS].std(ddof=1) / math.sqrt(reps))
-    diff = risk[RuleKind.F_PLUS] - risk[RuleKind.F_MINUS]
-    se_diff = float(diff.std(ddof=1) / math.sqrt(reps))
+    # draw x's two cells only: a cell's draws depend on its own index, so they
+    # equal a whole-spec draw (called through ``simulate`` so wrappers see it)
+    own = TrainingConfig(counts={(x, g): config.count(x, g) for g in (0, 1)},
+                         seed=config.seed)
+    means = simulate.replicate_cell_means(spec, own, reps)
+    pooled = pooled_mean(own, means, x, reps)
+    risk_aware = _risk_at_x(spec, means, x)
+    risk_blind = _risk_at_x(spec, {(x, 0): pooled, (x, 1): pooled}, x)
+    aware, blind = _estimate(risk_aware), _estimate(risk_blind)
+    diff = _estimate(risk_aware - risk_blind)
     oracle_diff = regime.risk_aware - regime.risk_blind
     if oracle_diff == 0.0:
-        sign_ok = abs(float(diff.mean())) <= SE_BAND * se_diff
+        sign_ok = abs(diff.value) <= SE_BAND * diff.se
     else:
-        sign_ok = math.copysign(1.0, float(diff.mean())) == math.copysign(1.0, oracle_diff)
-    aware_ok = abs(mean_aware - regime.risk_aware) < SE_BAND * se_aware
-    blind_ok = abs(mean_blind - regime.risk_blind) < SE_BAND * se_blind
+        sign_ok = math.copysign(1.0, diff.value) == math.copysign(1.0, oracle_diff)
+    aware_ok = abs(aware.value - regime.risk_aware) < SE_BAND * aware.se
+    blind_ok = abs(blind.value - regime.risk_blind) < SE_BAND * blind.se
     per_inequality = {
         "risk_gap_sign_matches_oracle": float(sign_ok),
         "aware_risk_within_3se": float(aware_ok),
@@ -365,10 +363,10 @@ def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
         "regime": regime.regime.value,
         "oracle_risk_aware": regime.risk_aware,
         "oracle_risk_blind": regime.risk_blind,
-        "mc_risk_aware": mean_aware,
-        "mc_risk_blind": mean_blind,
-        "mc_se_aware": se_aware,
-        "mc_se_blind": se_blind,
+        "mc_risk_aware": aware.value,
+        "mc_risk_blind": blind.value,
+        "mc_se_aware": aware.se,
+        "mc_se_blind": blind.se,
         "counts": list(regime.counts),
         "noise_var": spec.noise_var,
         "seed": config.seed,
@@ -408,13 +406,10 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
     half = params.n // 2
     oracle_dplus = ((spec.noise_var * params.delta + half * prior.tau_sq * params.delta_mu)
                     / (spec.noise_var + half * prior.tau_sq))
-    dplus_mean = float(disp[RuleKind.D_PLUS].mean())
-    dplus_se = float(disp[RuleKind.D_PLUS].std(ddof=1) / math.sqrt(reps))
-    fplus_mean = float(disp[RuleKind.F_PLUS].mean())
-    fplus_se = float(disp[RuleKind.F_PLUS].std(ddof=1) / math.sqrt(reps))
-    dplus_matches = abs(dplus_mean - oracle_dplus) < SE_BAND * dplus_se
-    dplus_below_delta = dplus_mean + SE_BAND * dplus_se < params.delta
-    fplus_nonneg = fplus_mean >= -SE_BAND * fplus_se
+    dplus, fplus = _estimate(disp[RuleKind.D_PLUS]), _estimate(disp[RuleKind.F_PLUS])
+    dplus_matches = abs(dplus.value - oracle_dplus) < SE_BAND * dplus.se
+    dplus_below_delta = dplus.value + SE_BAND * dplus.se < params.delta
+    fplus_nonneg = fplus.value >= -SE_BAND * fplus.se
     per_inequality = {
         "f_minus_disparity_zero": float(f_minus_zero.mean()),
         "d_minus_disparity_eq_delta": float(d_minus_exact.mean()),
@@ -428,10 +423,10 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
     outcome_params = _echo_parameters(spec, config, {x: params.delta}, prior)
     outcome_params.update({
         "oracle_d_plus_mean_disparity": oracle_dplus,
-        "mc_d_plus_mean_disparity": dplus_mean,
-        "mc_d_plus_se": dplus_se,
-        "mc_f_plus_mean_disparity": fplus_mean,
-        "mc_f_plus_se": fplus_se,
+        "mc_d_plus_mean_disparity": dplus.value,
+        "mc_d_plus_se": dplus.se,
+        "mc_f_plus_mean_disparity": fplus.value,
+        "mc_f_plus_se": fplus.se,
     })
     return VerificationOutcome(
         claim_id="remark1", reps=reps,

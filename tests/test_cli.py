@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assistfair.cli import STANDARD_CLAIM_DOCUMENTS, main, write_json
+from assistfair.cli import STANDARD_CLAIM_DOCUMENTS, main, parse_bundle, write_json
 
 BASE_CONFIG = {
     "covariates": ["x0"],
@@ -307,6 +308,30 @@ class TestVerify:
         assert not out.exists()
 
 
+OVERFLOW_MEANS = {"x0": [-1e200, 1e200]}
+
+
+@pytest.mark.parametrize("command", [
+    ["closed-form", "--sigma-sq", "1e200", "--tau-sq", "1e200"],
+    ["closed-form", "--mu-bar", "1e308", "--beta-bar=-1e308"],
+    ["simulate", "--config", "{cfg}"],
+    ["sweep", "--config", "{sweep}"],
+    ["verify", "remark3", "--config", "{cfg}"],
+])
+def test_overflowing_results_exit_2_and_write_nothing(tmp_path, capsys, command):
+    write_config(tmp_path / "cfg.json", true_means=OVERFLOW_MEANS)
+    write_config(tmp_path / "sweep.json", true_means=OVERFLOW_MEANS,
+                 sweep={"axis": "noise_var", "values": [1.0, 2.0]})
+    argv = [arg.format(cfg=tmp_path / "cfg.json", sweep=tmp_path / "sweep.json")
+            for arg in command]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a float warning would be a second stderr line
+        code = main(argv + ["--out", str(out)])
+    assert_usage_error(code, capsys)
+    assert not out.exists()
+
+
 class TestSweep:
     def test_empty_axes_behaves_like_simulate(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -394,16 +419,14 @@ class TestSweep:
 class TestConfigRoundTrip:
     def test_document_objects_document_identity(self):
         import assistfair as af
-        doc = json.loads(json.dumps(BASE_CONFIG))
-        spec = af.document_to_spec(doc)
-        config = af.document_to_config(doc, spec)
-        prior = af.document_to_prior(doc["prior"], spec)
-        assert af.spec_to_document(spec) == {
-            k: doc[k] for k in ("covariates", "covariate_probs", "group_probs",
-                                "true_means", "noise_var")}
-        assert af.config_to_document(config, spec) == {"counts": doc["counts"],
-                                                       "seed": doc["seed"]}
-        assert af.prior_to_document(prior, spec) == doc["prior"]
+        spec, prior, config, reps, kinds = parse_bundle(json.loads(json.dumps(BASE_CONFIG)))
+        assert spec == af.ProblemSpec(
+            covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
+            true_means={("x0", 0): 0.0, ("x0", 1): 0.0}, noise_var=1.0)
+        assert config == af.TrainingConfig(counts={("x0", 0): 4, ("x0", 1): 4}, seed=7)
+        assert prior == af.ConjugateNormalPrior(beta={("x0", 0): -0.5, ("x0", 1): 0.5},
+                                                tau_sq=1.0)
+        assert (reps, kinds) == (200, list(af.RuleKind))
 
 
 # ---------------------------------------------------------------------------

@@ -135,40 +135,52 @@ class TestMonteCarloReport:
                                    canonical_config(), None, 0)
 
 
+def bias_variance(kind, reps, spec):
+    """Per-cell Monte Carlo bias and variance of one rule, with standard errors.
+
+    The variance's standard error uses the fourth-moment formula, exact for
+    rules affine in the Normal cell means.
+    """
+    values = af.replicate_rule_values(spec, canonical_prior(), canonical_config(), [kind],
+                                      reps)[kind]
+    out = {}
+    for cell, samples in values.items():
+        var = float(samples.var(ddof=1))
+        m4 = float(np.mean((samples - samples.mean()) ** 4))
+        out[cell] = {"bias": float(samples.mean()) - spec.mu(*cell),
+                     "bias_se": float(samples.std(ddof=1)) / math.sqrt(reps),
+                     "variance": var,
+                     "variance_se": math.sqrt(max(m4 - var * var, 0.0) / reps)}
+    return out
+
+
 class TestBiasVariance:
+    SPEC = canonical_spec(mu0=0.3, mu1=-0.2)
+
     def test_unassisted_decision_has_zero_variance(self):
-        decomp = af.bias_variance_decomp(canonical_spec(), canonical_prior(),
-                                         canonical_config(), af.RuleKind.D0, 200)
-        for cell, bv in decomp.items():
-            assert bv.variance == 0.0
-            assert bv.bias == pytest.approx(canonical_prior().beta[cell], abs=1e-12)
+        for cell, bv in bias_variance(af.RuleKind.D0, 200, self.SPEC).items():
+            assert bv["variance"] == 0.0
+            want = canonical_prior().beta[cell] - self.SPEC.mu(*cell)
+            assert bv["bias"] == pytest.approx(want, abs=1e-12)
 
     def test_assisted_variances_match_closed_forms(self):
         # At sigma_sq = tau_sq = 1, n = 8: Var(d+) = 2*n*sigma^2*tau^4 /
         # (n*tau_sq + 2*sigma_sq)^2 = 0.16 per cell and the blind variant
         # halves it by averaging the two cell means.
-        spec, prior, config = canonical_spec(), canonical_prior(), canonical_config()
-        reps = 40000
-        plus = af.bias_variance_decomp(spec, prior, config, af.RuleKind.D_PLUS, reps)
-        minus = af.bias_variance_decomp(spec, prior, config, af.RuleKind.D_MINUS, reps)
-        for cell in spec.cells():
-            assert abs(plus[cell].variance - 0.16) <= 4 * plus[cell].variance_se
-            assert abs(minus[cell].variance - 0.08) <= 4 * minus[cell].variance_se
-            ratio = plus[cell].variance / minus[cell].variance
+        plus = bias_variance(af.RuleKind.D_PLUS, 40000, self.SPEC)
+        minus = bias_variance(af.RuleKind.D_MINUS, 40000, self.SPEC)
+        for cell in self.SPEC.cells():
+            assert abs(plus[cell]["variance"] - 0.16) <= 4 * plus[cell]["variance_se"]
+            assert abs(minus[cell]["variance"] - 0.08) <= 4 * minus[cell]["variance_se"]
+            ratio = plus[cell]["variance"] / minus[cell]["variance"]
             assert ratio == pytest.approx(2.0, abs=0.15)
 
     def test_aware_bias_shrinks_prior_miss(self):
         # E[d+] - mu = sigma_sq*(beta - mu) / (sigma_sq + n_cell*tau_sq)
-        spec, prior, config = canonical_spec(), canonical_prior(), canonical_config()
-        decomp = af.bias_variance_decomp(spec, prior, config, af.RuleKind.D_PLUS, 40000)
-        for (x, g), bv in decomp.items():
-            want = (1.0 * (prior.beta[(x, g)] - spec.mu(x, g))) / (1.0 + 4 * 1.0)
-            assert abs(bv.bias - want) <= 4 * bv.bias_se
-
-    def test_requires_two_reps(self):
-        with pytest.raises(af.ConfigError):
-            af.bias_variance_decomp(canonical_spec(), canonical_prior(),
-                                    canonical_config(), af.RuleKind.D0, 1)
+        prior = canonical_prior()
+        for cell, bv in bias_variance(af.RuleKind.D_PLUS, 40000, self.SPEC).items():
+            want = (prior.beta[cell] - self.SPEC.mu(*cell)) / (1.0 + 4 * 1.0)
+            assert abs(bv["bias"] - want) <= 4 * bv["bias_se"]
 
 
 class TestCalibration:

@@ -234,36 +234,39 @@ class TestGrids:
 
 
 class TestDocuments:
+    """Literal documents parse to the hand-built objects they describe."""
+
+    TWO_X = {
+        "covariates": ["a", "b"],
+        "covariate_probs": {"a": 0.25, "b": 0.75},
+        "group_probs": {"a": 0.5, "b": 0.3},
+        "true_means": {"a": [0.0, 1.0], "b": [-1.0, 2.0]},
+        "noise_var": 2.0,
+        "counts": {"a": [2, 6], "b": [1, 3]},
+        "seed": 17,
+    }
+
     def test_spec_round_trip(self):
-        spec = two_x_spec()
-        assert af.document_to_spec(af.spec_to_document(spec)) == spec
+        assert af.document_to_spec(self.TWO_X) == two_x_spec()
 
     def test_config_round_trip(self):
-        spec = two_x_spec()
         cfg = af.TrainingConfig(
             counts={("a", 0): 2, ("a", 1): 6, ("b", 0): 1, ("b", 1): 3}, seed=17)
-        doc = af.config_to_document(cfg, spec)
-        assert af.document_to_config(doc, spec) == cfg
+        assert af.document_to_config(self.TWO_X, two_x_spec()) == cfg
 
     def test_conjugate_prior_round_trip(self):
-        spec = example_spec()
-        prior = example_prior(b0=-0.25, b1=0.75, tau_sq=2.0)
-        doc = af.prior_to_document(prior, spec)
-        assert doc["kind"] == "conjugate_normal"
-        assert af.document_to_prior(doc, spec) == prior
+        doc = {"kind": "conjugate_normal", "beta": {"x0": [-0.25, 0.75]}, "tau_sq": 2.0}
+        prior = af.document_to_prior(doc, example_spec())
+        assert prior == example_prior(b0=-0.25, b1=0.75, tau_sq=2.0)
 
     def test_grid_prior_round_trip(self):
-        spec = example_spec()
-        prior = af.GridPrior(points={"x0": (np.asarray([0.0, 1.0]),
-                                            np.asarray([0.5, -0.5]),
-                                            np.asarray([0.25, 0.75]))})
-        back = af.document_to_prior(af.prior_to_document(prior, spec), spec)
-        assert isinstance(back, af.GridPrior)
-        mu1, mu0, w = back.points["x0"]
-        b_mu1, b_mu0, b_w = prior.points["x0"]
-        assert np.array_equal(mu1, b_mu1)
-        assert np.array_equal(mu0, b_mu0)
-        assert np.array_equal(w, b_w)
+        doc = {"kind": "grid", "points": {"x0": [[0.0, 0.5, 0.25], [1.0, -0.5, 0.75]]}}
+        prior = af.document_to_prior(doc, example_spec())
+        assert isinstance(prior, af.GridPrior)
+        mu1, mu0, w = prior.points["x0"]
+        assert np.array_equal(mu1, [0.0, 1.0])
+        assert np.array_equal(mu0, [0.5, -0.5])
+        assert np.array_equal(w, [0.25, 0.75])
 
     def test_unknown_prior_kind(self):
         with pytest.raises(af.SpecValidationError, match="prior kind"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import assistfair as af
+from assistfair import rng
 
 SEED = 20240817
 
@@ -171,6 +172,28 @@ class TestRemark3:
         assert lo.success_fraction == 1.0
         assert hi.parameters["regime"] == "trade_off"
         assert lo.parameters["regime"] == "dominance"
+
+    def test_draws_only_its_own_cells(self, monkeypatch):
+        names = ("a", "b", "c")
+        spec = af.ProblemSpec(
+            covariates=names, covariate_probs={x: 1 / 3 for x in names},
+            group_probs={x: 0.5 for x in names},
+            true_means={(x, g): 0.4 * g for x in names for g in (0, 1)}, noise_var=1.0)
+        cfg = af.TrainingConfig(counts={(x, g): 8 for x in names for g in (0, 1)},
+                                seed=SEED)
+        rows = []
+        normal_block = rng.normal_block
+
+        def counting(*args, **kwargs):
+            block = normal_block(*args, **kwargs)
+            rows.append(block.shape[0])
+            return block
+
+        monkeypatch.setattr(rng, "normal_block", counting)
+        for x in names:
+            rows.clear()
+            af.verify_machine_regimes(spec, cfg, x, 300)
+            assert sum(rows) == 2 * 300
 
     def test_outcome_serializes(self):
         import json
