@@ -58,7 +58,6 @@ from .simulate import (
     rule_values_from_cell_means,
 )
 from .verify import (
-    ConsistencyResult,
     VerificationOutcome,
     verify_consistency,
     verify_disparity_reversal,
@@ -76,7 +75,6 @@ __all__ = [
     "ClosedFormTable",
     "ConfigError",
     "ConjugateNormalPrior",
-    "ConsistencyResult",
     "DerivedExampleParams",
     "EmptyCellError",
     "Estimate",

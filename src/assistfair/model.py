@@ -380,9 +380,8 @@ class GridPrior:
             shift = lp.max(axis=1, keepdims=True)
             if not np.all(np.isfinite(shift)):
                 bad = int(np.flatnonzero(~np.isfinite(shift.ravel()))[0]) + start
-                raise SignalSupportError(
-                    f"signal outside prior support (signal index {bad}, value {signals[bad]!r})"
-                )
+                raise SignalSupportError(f"signal outside prior support (signal index "
+                                         f"{bad}, value {float(signals[bad])})")
             w = np.exp(lp - shift)
             out[start:start + rows] = (w @ target) / w.sum(axis=1)
         return out.reshape(signal.shape)[()]

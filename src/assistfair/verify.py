@@ -1,10 +1,12 @@
 """Empirical verification of the disparity and risk claims.
 
-Each verifier replays a claim's inequality chain over seeded training
-replications and reports the fraction of replications where the chain held,
-plus per-inequality fractions for diagnosis. Claims about expectations
-(regime classifications, threshold orderings) are checked once against
-Monte Carlo means with 3-standard-error bands and report an all-or-nothing
+Every claim has one verifier, ``verify_<claim>(spec, prior, config, reps,
+**options)``, which returns a ``VerificationOutcome``. Each verifier replays
+a claim's inequality chain over seeded training replications and reports the
+fraction of replications where the chain held, plus per-inequality fractions
+for diagnosis. Claims about expectations (regime classifications, threshold
+orderings, consistency medians) are checked once against Monte Carlo means
+with 3-standard-error bands or fixed bounds and report an all-or-nothing
 success fraction.
 
 Tie policy: weak inequalities count ties as satisfied, up to floating-point
@@ -42,7 +44,6 @@ from .simulate import pooled_mean, replicate_rule_values
 
 __all__ = [
     "VerificationOutcome",
-    "ConsistencyResult",
     "weak_le",
     "verify_disparity_reversal",
     "verify_reordering",
@@ -57,6 +58,9 @@ WEAK_REL_TOL = 1e-9
 WEAK_ABS_TOL = 1e-12
 EXACT_TOL = 1e-12
 SE_BAND = 3.0
+# consistency: allowed rise between successive medians, and the last median's bound
+CONSISTENCY_SLACK = 0.02
+CONSISTENCY_BOUND = 0.05
 
 
 @dataclass(frozen=True)
@@ -93,39 +97,6 @@ class VerificationOutcome:
             "success_fraction": self.success_fraction,
             "per_inequality": dict(self.per_inequality),
             "parameters": dict(self.parameters),
-            "notes": list(self.notes),
-        }
-
-
-@dataclass(frozen=True)
-class ConsistencyResult:
-    """Median aware-decision error against growing per-cell sample sizes."""
-
-    n_grid: tuple
-    medians: tuple
-    truth_in_support: bool
-    reps: int
-    seed: int
-    notes: tuple = ()
-
-    def weakly_decreasing(self, slack: float = 0.02) -> bool:
-        return all(b <= a + slack for a, b in zip(self.medians, self.medians[1:]))
-
-    def passed(self, bound: float = 0.05, slack: float = 0.02) -> bool:
-        return (self.truth_in_support and self.weakly_decreasing(slack)
-                and self.medians[-1] < bound)
-
-    def summary_line(self) -> str:
-        meds = ", ".join(f"n={n}: {m:.4f}" for n, m in zip(self.n_grid, self.medians))
-        return f"consistency: median |d+ - mu| {meds}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_grid": list(self.n_grid),
-            "medians": list(self.medians),
-            "truth_in_support": self.truth_in_support,
-            "reps": self.reps,
-            "seed": self.seed,
             "notes": list(self.notes),
         }
 
@@ -324,22 +295,11 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
     return replace(outcome, parameters={**outcome.parameters, "balance_fraction": balance})
 
 
-def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
-                           reps: int) -> VerificationOutcome:
-    """Regime claim for the automated rules at one covariate value.
-
-    Monte Carlo risk estimates must land within 3 standard errors of the
-    closed forms and their difference must carry the oracle regime's sign.
-    """
-    _require_se_reps("remark3", reps)
-    validate_spec(spec)
+def _machine_regime_at(spec: ProblemSpec, config: TrainingConfig, means: Mapping, x,
+                       reps: int) -> tuple:
+    """Checks and echoed parameters of the regime claim at one covariate value."""
     regime = classify_regime(spec, config, x)
-    # draw x's two cells only: a cell's draws depend on its own index, so they
-    # equal a whole-spec draw (called through ``simulate`` so wrappers see it)
-    own = TrainingConfig(counts={(x, g): config.count(x, g) for g in (0, 1)},
-                         seed=config.seed)
-    means = simulate.replicate_cell_means(spec, own, reps)
-    pooled = pooled_mean(own, means, x, reps)
+    pooled = pooled_mean(config, means, x, reps)
     risk_aware = _risk_at_x(spec, means, x)
     risk_blind = _risk_at_x(spec, {(x, 0): pooled, (x, 1): pooled}, x)
     aware, blind = _estimate(risk_aware), _estimate(risk_blind)
@@ -349,12 +309,10 @@ def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
         sign_ok = abs(diff.value) <= SE_BAND * diff.se
     else:
         sign_ok = math.copysign(1.0, diff.value) == math.copysign(1.0, oracle_diff)
-    aware_ok = abs(aware.value - regime.risk_aware) < SE_BAND * aware.se
-    blind_ok = abs(blind.value - regime.risk_blind) < SE_BAND * blind.se
-    per_inequality = {
-        "risk_gap_sign_matches_oracle": float(sign_ok),
-        "aware_risk_within_3se": float(aware_ok),
-        "blind_risk_within_3se": float(blind_ok),
+    checks = {
+        "risk_gap_sign_matches_oracle": sign_ok,
+        "aware_risk_within_3se": abs(aware.value - regime.risk_aware) < SE_BAND * aware.se,
+        "blind_risk_within_3se": abs(blind.value - regime.risk_blind) < SE_BAND * blind.se,
     }
     params = {
         "x": str(x),
@@ -371,10 +329,31 @@ def verify_machine_regimes(spec: ProblemSpec, config: TrainingConfig, x,
         "noise_var": spec.noise_var,
         "seed": config.seed,
     }
+    return checks, params
+
+
+def verify_machine_regimes(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
+                           reps: int) -> VerificationOutcome:
+    """Regime claim for the automated rules at every covariate value.
+
+    Monte Carlo risk estimates must land within 3 standard errors of the
+    closed forms and their difference must carry the oracle regime's sign.
+    Entries are tagged ``"<x>:<check>"`` and parameters are keyed by x. The
+    prior is not used: the automated rules ignore it.
+    """
+    _require_se_reps("remark3", reps)
+    validate_spec(spec)
+    # called through ``simulate`` so wrappers installed on it see the draw
+    means = simulate.replicate_cell_means(spec, config, reps)
+    per_inequality, parameters, all_ok = {}, {}, True
+    for x in spec.covariates:
+        checks, parameters[str(x)] = _machine_regime_at(spec, config, means, x, reps)
+        for name, ok in checks.items():
+            per_inequality[f"{x}:{name}"] = float(ok)
+            all_ok = all_ok and ok
     return VerificationOutcome(
-        claim_id="remark3", reps=reps,
-        success_fraction=float(sign_ok and aware_ok and blind_ok),
-        per_inequality=per_inequality, parameters=params,
+        claim_id="remark3", reps=reps, success_fraction=float(all_ok),
+        per_inequality=per_inequality, parameters=parameters,
     )
 
 
@@ -435,33 +414,34 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
     )
 
 
-def _example_problem(sigma_sq: float, n: int, delta_mu: float, mu_bar: float,
-                     seed: int) -> tuple:
-    spec = ProblemSpec(
-        covariates=("x0",),
-        covariate_probs={"x0": 1.0},
-        group_probs={"x0": 0.5},
-        true_means={("x0", 0): mu_bar - delta_mu / 2.0,
-                    ("x0", 1): mu_bar + delta_mu / 2.0},
-        noise_var=sigma_sq,
-    )
-    config = TrainingConfig(counts={("x0", 0): n // 2, ("x0", 1): n // 2}, seed=seed)
-    return spec, config
-
-
-def verify_remark2(sigma_sq: float, tau_sq: float, n: int, delta_mu: float,
-                   reps: int, seed: int, *, offset: float = 0.25,
-                   beta_bar: float = 0.0, mu_bar: float = 0.0) -> VerificationOutcome:
+def verify_remark2(spec: ProblemSpec, prior: ConjugateNormalPrior, config: TrainingConfig,
+                   reps: int, *, offset: float = 0.25) -> VerificationOutcome:
     """Assistance risk threshold in the prior gap.
 
     The closed forms tie at delta* = delta_mu + 2*tau*sigma/sqrt(n*tau_sq +
     4*sigma_sq) to 1e-10; Monte Carlo runs at delta* +- offset must match
     the closed forms within 3 SE and order the two assisted risks
-    accordingly: aware better above the threshold, worse below it.
+    accordingly: aware better above the threshold, worse below it. The
+    document's own prior gap is replaced by each probe gap.
     """
     _require_se_reps("remark2", reps)
+    validate_spec(spec)
+    example = derive_example_params(spec, prior, config)
+    x = spec.covariates[0]
+    if spec.p_group(x, 1) != 0.5:
+        raise PreconditionError(
+            f"remark2 needs P(g=1|x) = 0.5, as its closed forms assume; got "
+            f"{spec.p_group(x, 1)!r} at x={x!r}"
+        )
+    sigma_sq, tau_sq, n = spec.noise_var, prior.tau_sq, example.n
+    delta_mu, beta_bar, mu_bar = example.delta_mu, example.beta_bar, example.mu_bar
     threshold = delta_threshold_example(sigma_sq, tau_sq, n, delta_mu)
     margin = threshold - delta_mu
+    if not margin > 0.0:
+        raise PreconditionError(
+            f"delta_mu={delta_mu!r} is too large for its threshold {threshold!r} "
+            "to lie above it"
+        )
     if not 0.0 < offset < margin:
         raise PreconditionError(
             f"offset must lie in (0, {margin!r}) so both probe gaps stay above delta_mu"
@@ -474,22 +454,20 @@ def verify_remark2(sigma_sq: float, tau_sq: float, n: int, delta_mu: float,
     parameters: dict = {
         "sigma_sq": sigma_sq, "tau_sq": tau_sq, "n": n, "delta_mu": delta_mu,
         "beta_bar": beta_bar, "mu_bar": mu_bar, "threshold": threshold,
-        "offset": offset, "seed": seed,
+        "offset": offset, "seed": config.seed,
     }
     all_ok = oracle_equal
     probes = (("above", 1, threshold + offset), ("below", 2, threshold - offset))
     for tag, branch, delta in probes:
-        spec, config = _example_problem(
-            sigma_sq, n, delta_mu, mu_bar,
-            seed=rng.derive_key(seed, rng.STREAM_SCENARIO, branch),
-        )
-        prior = ConjugateNormalPrior(
-            beta={("x0", 0): beta_bar - delta / 2.0, ("x0", 1): beta_bar + delta / 2.0},
+        probe_config = replace(
+            config, seed=rng.derive_key(config.seed, rng.STREAM_SCENARIO, branch))
+        probe_prior = ConjugateNormalPrior(
+            beta={(x, 0): beta_bar - delta / 2.0, (x, 1): beta_bar + delta / 2.0},
             tau_sq=tau_sq,
         )
         oracle = example_closed_forms(sigma_sq, tau_sq, n, delta, delta_mu,
                                       beta_bar, mu_bar)
-        report = mc_expected_metrics(spec, prior, config,
+        report = mc_expected_metrics(spec, probe_prior, probe_config,
                                      [RuleKind.D_MINUS, RuleKind.D_PLUS], reps)
         est = {kind: report.rule(kind).expected_risk
                for kind in (RuleKind.D_MINUS, RuleKind.D_PLUS)}
@@ -529,13 +507,16 @@ def _truth_in_support(prior: GridPrior, spec: ProblemSpec) -> bool:
     return True
 
 
-def verify_consistency(prior: GridPrior, spec: ProblemSpec, n_grid: Sequence,
-                       reps: int, seed: int) -> ConsistencyResult:
+def verify_consistency(spec: ProblemSpec, prior: GridPrior, config: TrainingConfig,
+                       reps: int, *, n_grid: Sequence) -> VerificationOutcome:
     """Median |d+ - mu| across replications for each per-cell sample size.
 
-    Posterior consistency predicts the medians shrink as cells grow,
-    provided the prior's support reaches the true means; a prior whose
-    support excludes the truth is flagged instead of failed silently.
+    Every cell takes each ``n_grid`` entry in turn as its count; the
+    config's own counts are not used. Posterior consistency predicts the
+    medians shrink as cells grow, provided the prior's support reaches the
+    true means. Three all-or-nothing checks: truth in support, medians
+    weakly decreasing up to ``CONSISTENCY_SLACK``, and the last median below
+    ``CONSISTENCY_BOUND``.
     """
     validate_spec(spec)
     if prior.kind != GridPrior.kind:
@@ -547,18 +528,26 @@ def verify_consistency(prior: GridPrior, spec: ProblemSpec, n_grid: Sequence,
     in_support = _truth_in_support(prior, spec)
     medians = []
     for i, n_cell in enumerate(n_grid):
-        config = TrainingConfig(
-            counts={cell: int(n_cell) for cell in spec.cells()},
-            seed=rng.derive_key(seed, rng.STREAM_SCENARIO, i),
+        probe_config = replace(
+            config, counts={cell: int(n_cell) for cell in spec.cells()},
+            seed=rng.derive_key(config.seed, rng.STREAM_SCENARIO, i),
         )
-        values = replicate_rule_values(spec, prior, config, [RuleKind.D_PLUS],
+        values = replicate_rule_values(spec, prior, probe_config, [RuleKind.D_PLUS],
                                        reps)[RuleKind.D_PLUS]
         errors = np.concatenate([
             np.abs(values[(x, g)] - spec.mu(x, g)) for x, g in spec.cells()
         ])
         medians.append(float(np.median(errors)))
-    notes = () if in_support else ("truth outside support",)
-    return ConsistencyResult(
-        n_grid=tuple(int(n) for n in n_grid), medians=tuple(medians),
-        truth_in_support=in_support, reps=reps, seed=seed, notes=notes,
+    checks = {
+        "truth_in_support": in_support,
+        "medians_weakly_decreasing": all(
+            b <= a + CONSISTENCY_SLACK for a, b in zip(medians, medians[1:])),
+        "last_median_below_bound": medians[-1] < CONSISTENCY_BOUND,
+    }
+    return VerificationOutcome(
+        claim_id="consistency", reps=reps, success_fraction=float(all(checks.values())),
+        per_inequality={name: float(ok) for name, ok in checks.items()},
+        parameters={"n_grid": [int(n) for n in n_grid], "medians": medians,
+                    "seed": config.seed},
+        notes=() if in_support else ("truth outside support",),
     )

@@ -168,11 +168,11 @@ def test_criterion_07_machine_regimes():
     lo_risks = af.machine_risk_expectations(spec_lo, cfg, "x0")
     ok = ok and hi_risks == (pytest.approx(1.125), pytest.approx(1.2225))
     ok = ok and lo_risks == (pytest.approx(1.125), pytest.approx(1.0725))
-    hi = af.verify_machine_regimes(spec_hi, cfg, "x0", 20000)
-    lo = af.verify_machine_regimes(spec_lo, cfg, "x0", 20000)
+    hi = af.verify_machine_regimes(spec_hi, canonical_prior(), cfg, 20000)
+    lo = af.verify_machine_regimes(spec_lo, canonical_prior(), cfg, 20000)
     ok = (ok and hi.success_fraction == 1.0 and lo.success_fraction == 1.0
-          and hi.parameters["regime"] == "trade_off"
-          and lo.parameters["regime"] == "dominance")
+          and hi.parameters["x0"]["regime"] == "trade_off"
+          and lo.parameters["x0"]["regime"] == "dominance")
     report(7, "machine trade-off and dominance regimes reproduced around xi=0.5",
            ok, f"xi={xi}, risks {hi_risks} and {lo_risks}")
 
@@ -182,7 +182,8 @@ def test_criterion_08_assistance_threshold():
     table = af.example_closed_forms(1.0, 1.0, 12, star, 0.0, 0.0, 0.0)
     tie_gap = abs(table.expected_risk[af.RuleKind.D_PLUS]
                   - table.expected_risk[af.RuleKind.D_MINUS])
-    out = af.verify_remark2(1.0, 1.0, 12, 0.0, 20000, SEED)
+    out = af.verify_remark2(canonical_spec(0.0), canonical_prior(), balanced_config(6, SEED),
+                            20000)
     ok = (star == 0.5 and tie_gap < 1e-10 and out.success_fraction == 1.0)
     report(8, "assisted-risk crossover at delta*=0.5, both sides within 3 SE",
            ok, f"threshold={star}, oracle tie gap={tie_gap:.1e}")
@@ -194,12 +195,16 @@ def test_criterion_09_posterior_consistency():
     spec = af.ProblemSpec(
         covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
         true_means={("x0", 0): 0.3, ("x0", 1): 0.3}, noise_var=1.0)
-    out = af.verify_consistency(prior, spec, [10, 100, 1000], 500, SEED)
-    ok = (out.truth_in_support and out.weakly_decreasing(slack=0.02)
-          and out.medians[-1] < 0.05)
-    meds = ", ".join(f"{m:.4f}" for m in out.medians)
-    report(9, "grid posterior median error shrinks over n in {10,100,1000}",
-           ok, f"medians {meds}")
+    out = af.verify_consistency(spec, prior, balanced_config(10, SEED), 500,
+                                n_grid=[10, 100, 1000])
+    medians = out.parameters["medians"]
+    meds = ", ".join(f"{m:.4f}" for m in medians)
+    desc = "grid posterior median error shrinks over n in {10,100,1000}"
+    report(9, desc + ": truth in support", out.per_inequality["truth_in_support"] == 1.0,
+           f"medians {meds}")
+    report(9, desc + ": weakly decreasing",
+           all(b <= a + 0.02 for a, b in zip(medians, medians[1:])), f"medians {meds}")
+    report(9, desc + ": last median below 0.05", medians[-1] < 0.05, f"medians {meds}")
 
 
 def test_criterion_10_byte_identical_determinism(tmp_path):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from assistfair import cli
 from assistfair.cli import STANDARD_CLAIM_DOCUMENTS, main, parse_bundle, write_json
 
 BASE_CONFIG = {
@@ -35,9 +37,22 @@ CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*args):
+def run_process(*args):
+    """``python -m assistfair.cli`` in a child process, which also runs
+    ``entrypoint``'s ``sys.exit``."""
     return subprocess.run([sys.executable, "-m", "assistfair.cli", *args],
                           capture_output=True, text=True, env=CLI_ENV)
+
+
+def run_cli(*args):
+    """``main`` in this process, with what a child process would return."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:  # argparse exits on a usage error
+            code = exc.code
+    return subprocess.CompletedProcess(list(args), code, out.getvalue(), err.getvalue())
 
 
 def write_config(path, **overrides):
@@ -87,7 +102,7 @@ class TestSimulate:
         assert "config missing required field: prior" in proc.stderr
 
     def test_unreadable_config_exits_2(self, tmp_path):
-        proc = run_cli("simulate", "--config", str(tmp_path / "absent.json"))
+        proc = run_process("simulate", "--config", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
 
     @pytest.mark.parametrize("overrides", [
@@ -145,7 +160,7 @@ class TestDeterminism:
 class TestClosedForm:
     def test_default_parameters_emit_table(self, tmp_path):
         out = tmp_path / "cf"
-        proc = run_cli("closed-form", "--out", str(out))
+        proc = run_process("closed-form", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "closed_form.json").read_text())
         by_rule = {e["rule"]: e for e in payload["rules"]}
@@ -219,6 +234,23 @@ class TestVerify:
         assert_usage_error(code, capsys)
         assert not out.exists()
 
+    def test_remark2_needs_even_group_probability(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", group_probs={"x0": 0.3})
+        out = tmp_path / "v"
+        code = main(["verify", "remark2", "--config", str(cfg), "--reps", "50",
+                     "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
+    def test_remark2_gap_beyond_its_threshold_names_delta_mu(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", true_means=OVERFLOW_MEANS)
+        out = tmp_path / "v"
+        code = main(["verify", "remark2", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1, err
+        assert err.startswith("error: delta_mu=2e+200 is too large for its threshold"), err
+        assert not out.exists()
+
     def test_remark2_config_echoes_its_levels(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", true_means={"x0": [0.25, 0.25]},
                            prior={"kind": "conjugate_normal", "beta": {"x0": [0.0, 1.0]},
@@ -244,7 +276,36 @@ class TestVerify:
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((out / "verify_consistency.json").read_text())
         assert payload["passed"] is True
-        assert payload["n_grid"] == [10, 100, 1000]
+        assert payload["parameters"]["n_grid"] == [10, 100, 1000]
+
+    def test_consistency_level_is_the_required_fraction(self, tmp_path):
+        out = tmp_path / "v"
+        code = main(["verify", "consistency", "--level", "1.0", "--reps", "80",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "verify_consistency.json").read_text())
+        assert payload["level"] == 1.0
+        assert payload["passed"] is True
+
+    def test_consistency_truth_outside_support_exits_1(self, tmp_path):
+        doc = STANDARD_CLAIM_DOCUMENTS["consistency"]()
+        doc["true_means"] = {"x0": [10.0, 10.0]}  # the grid spans [-8, 8]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "v"
+        code = main(["verify", "consistency", "--config", str(cfg), "--reps", "20",
+                     "--out", str(out)])
+        assert code == 1
+        payload = json.loads((out / "verify_consistency.json").read_text())
+        assert payload["passed"] is False
+        assert payload["per_inequality"]["truth_in_support"] == 0.0
+        assert payload["notes"] == ["truth outside support"]
+
+    def test_every_claim_verifier_takes_the_common_arguments(self):
+        assert set(cli.CLAIM_VERIFIERS) == set(STANDARD_CLAIM_DOCUMENTS)
+        for claim, name in cli.CLAIM_VERIFIERS.items():
+            params = list(inspect.signature(getattr(cli, name)).parameters)
+            assert params[:4] == ["spec", "prior", "config", "reps"], claim
 
     @pytest.mark.parametrize("claim", ["remark1", "remark2", "remark3"])
     def test_standard_error_claims_reject_one_rep(self, tmp_path, capsys, claim):
@@ -309,6 +370,9 @@ class TestVerify:
 
 
 OVERFLOW_MEANS = {"x0": [-1e200, 1e200]}
+# a grid prior whose support, (0, 0) and (1, 1), lies far from every signal
+FAR_GRID = {"true_means": {"x0": [1e160, 1e160]},
+            "prior": {"kind": "grid", "points": {"x0": [[0.0, 0.0, 0.5], [1.0, 1.0, 0.5]]}}}
 
 
 @pytest.mark.parametrize("command", [
@@ -317,12 +381,19 @@ OVERFLOW_MEANS = {"x0": [-1e200, 1e200]}
     ["simulate", "--config", "{cfg}"],
     ["sweep", "--config", "{sweep}"],
     ["verify", "remark3", "--config", "{cfg}"],
+    ["simulate", "--config", "{grid}"],
+    ["sweep", "--config", "{grid_sweep}"],
+    ["verify", "consistency", "--config", "{grid}"],
 ])
 def test_overflowing_results_exit_2_and_write_nothing(tmp_path, capsys, command):
     write_config(tmp_path / "cfg.json", true_means=OVERFLOW_MEANS)
     write_config(tmp_path / "sweep.json", true_means=OVERFLOW_MEANS,
                  sweep={"axis": "noise_var", "values": [1.0, 2.0]})
-    argv = [arg.format(cfg=tmp_path / "cfg.json", sweep=tmp_path / "sweep.json")
+    write_config(tmp_path / "grid.json", **FAR_GRID)
+    write_config(tmp_path / "grid_sweep.json", **FAR_GRID,
+                 sweep={"axis": "noise_var", "values": [1.0, 2.0]})
+    argv = [arg.format(cfg=tmp_path / "cfg.json", sweep=tmp_path / "sweep.json",
+                       grid=tmp_path / "grid.json", grid_sweep=tmp_path / "grid_sweep.json")
             for arg in command]
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -456,7 +527,7 @@ def mutated_configs(draw):
     doc["reps"] = 20
     for _ in range(draw(st.integers(1, 2))):
         op = draw(st.sampled_from(("drop", "swap", "fraction", "negative", "nan",
-                                   "unknown")))
+                                   "huge", "unknown")))
         if op == "unknown":
             where = draw(st.sampled_from(_COVARIATE_KEYED + ("prior", "covariates")))
             if where == "covariates":
@@ -484,6 +555,8 @@ def mutated_configs(draw):
             parent[key] = (value if isinstance(value, (int, float)) else 4) + 0.5
         elif op == "negative":
             parent[key] = -(value if isinstance(value, (int, float)) else 4)
+        elif op == "huge":
+            parent[key] = draw(st.sampled_from([1e160, -1e160]))
         else:
             parent[key] = draw(st.sampled_from([float("nan"), "NaN"]))
     return doc
@@ -504,7 +577,8 @@ def test_mutated_configs_keep_the_exit_code_contract(doc):
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main(command + ["--config", str(cfg), "--out", str(out)])
-            assert code in (0, 1, 2), (command, code)
+            # only a verified claim may fall below its level and exit 1
+            assert code in ((0, 1, 2) if command[0] == "verify" else (0, 2)), (command, code)
             if code == 2:
                 text = err.getvalue()
                 assert text.startswith("error: ") and text.count("\n") == 1, text

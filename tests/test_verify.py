@@ -151,7 +151,7 @@ class TestRemark1:
 
 class TestRemark2:
     def test_threshold_brackets(self):
-        out = af.verify_remark2(1.0, 1.0, 12, 0.0, 4000, SEED)
+        out = af.verify_remark2(single_x_spec(0.0), biased_prior(), balanced_config(6), 4000)
         assert out.claim_id == "remark2"
         assert out.success_fraction == 1.0
         assert out.parameters["threshold"] == pytest.approx(0.5, abs=1e-12)
@@ -160,18 +160,19 @@ class TestRemark2:
 
     def test_offset_must_keep_claim_well_posed(self):
         with pytest.raises(af.PreconditionError):
-            af.verify_remark2(1.0, 1.0, 12, 0.0, 100, SEED, offset=0.6)
+            af.verify_remark2(single_x_spec(0.0), biased_prior(), balanced_config(6), 100,
+                              offset=0.6)
 
 
 class TestRemark3:
     def test_both_regimes_reproduce(self):
         cfg = balanced_config(8)
-        hi = af.verify_machine_regimes(single_x_spec(0.8), cfg, "x0", 4000)
-        lo = af.verify_machine_regimes(single_x_spec(0.2), cfg, "x0", 4000)
+        hi = af.verify_machine_regimes(single_x_spec(0.8), biased_prior(), cfg, 4000)
+        lo = af.verify_machine_regimes(single_x_spec(0.2), biased_prior(), cfg, 4000)
         assert hi.success_fraction == 1.0
         assert lo.success_fraction == 1.0
-        assert hi.parameters["regime"] == "trade_off"
-        assert lo.parameters["regime"] == "dominance"
+        assert hi.parameters["x0"]["regime"] == "trade_off"
+        assert lo.parameters["x0"]["regime"] == "dominance"
 
     def test_draws_only_its_own_cells(self, monkeypatch):
         names = ("a", "b", "c")
@@ -190,15 +191,13 @@ class TestRemark3:
             return block
 
         monkeypatch.setattr(rng, "normal_block", counting)
-        for x in names:
-            rows.clear()
-            af.verify_machine_regimes(spec, cfg, x, 300)
-            assert sum(rows) == 2 * 300
+        af.verify_machine_regimes(spec, None, cfg, 300)
+        assert sum(rows) == 3 * 2 * 300
 
     def test_outcome_serializes(self):
         import json
         cfg = balanced_config(8)
-        out = af.verify_machine_regimes(single_x_spec(0.8), cfg, "x0", 500)
+        out = af.verify_machine_regimes(single_x_spec(0.8), biased_prior(), cfg, 500)
         blob = json.loads(json.dumps(out.to_json_dict(), sort_keys=True))
         assert blob["claim_id"] == "remark3"
         assert blob["reps"] == 500
@@ -211,11 +210,12 @@ class TestConsistency:
         spec = af.ProblemSpec(
             covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
             true_means={("x0", 0): 0.3, ("x0", 1): 0.3}, noise_var=1.0)
-        out = af.verify_consistency(prior, spec, [10, 100, 1000], 200, SEED)
-        assert out.truth_in_support
-        assert out.weakly_decreasing()
-        assert out.medians[-1] < 0.05
-        assert out.passed()
+        out = af.verify_consistency(spec, prior, balanced_config(10), 200,
+                                    n_grid=[10, 100, 1000])
+        assert out.per_inequality["truth_in_support"] == 1.0
+        assert out.per_inequality["medians_weakly_decreasing"] == 1.0
+        assert out.parameters["medians"][-1] < 0.05
+        assert out.passed(1.0)
 
     def test_truth_outside_support_is_flagged(self):
         pts, w = af.normal_marginal_grid(10.0, 0.1)
@@ -223,14 +223,15 @@ class TestConsistency:
         spec = af.ProblemSpec(
             covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
             true_means={("x0", 0): 0.3, ("x0", 1): 0.3}, noise_var=1.0)
-        out = af.verify_consistency(prior, spec, [10, 50], 50, SEED)
-        assert not out.truth_in_support
-        assert not out.passed()
+        out = af.verify_consistency(spec, prior, balanced_config(10), 50, n_grid=[10, 50])
+        assert out.per_inequality["truth_in_support"] == 0.0
+        assert not out.passed(0.95)
         assert out.notes
 
     def test_conjugate_prior_is_a_precondition_error(self):
         with pytest.raises(af.PreconditionError, match="consistency needs a grid prior"):
-            af.verify_consistency(biased_prior(), single_x_spec(0.0), [10, 100], 20, SEED)
+            af.verify_consistency(single_x_spec(0.0), biased_prior(), balanced_config(10), 20,
+                                  n_grid=[10, 100])
 
 
 class TestDeterminism:
