@@ -126,7 +126,7 @@ class TrainingConfig:
 
 
 # Rows per chunk of the grid posterior are sized so one temporary stays near
-# 16 MB; the grid axis is never partitioned, so chunking cannot perturb any
+# 16 MB; the centre axis is never partitioned, so chunking cannot perturb any
 # row's reduction.
 _GRID_CHUNK_ELEMENTS = 1 << 21
 # Pooled-signal centres of a grid prior closer than this fraction of the
@@ -257,11 +257,14 @@ class GridPrior:
 
     Weights must be finite, non-negative and sum to 1 per covariate value.
     The decisions are those of :class:`ConjugateNormalPrior`: the prior mean,
-    or the posterior mean after one machine signal. Each posterior reweights
-    the grid pairs by the Normal likelihood of the signal at the pair's signal
-    centre (``mu_g`` for the aware prediction, ``w1*mu1 + w0*mu0`` for the
-    blind one), in log-space so that however sharply the likelihood
-    concentrates, mass underflows only where it is genuinely gone.
+    or the posterior mean after one machine signal. A signal's likelihood at
+    a pair depends only on the pair's signal centre (``mu_g`` for the aware
+    prediction, ``(n1*mu1 + n0*mu0)/(n1+n0)`` for the blind one), so each
+    posterior reweights the support grouped by centre: one entry per distinct
+    centre, with its summed weight and the conditional mean of the target.
+    The grouping is built on first use and cached per covariate and counts.
+    Weights are taken in log-space relative to the centre nearest the signal,
+    so however far or sharp the likelihood, the nearest centre keeps its mass.
 
     The posterior methods accept a scalar or an array of signal values and
     return a result shaped like the signal.
@@ -273,7 +276,6 @@ class GridPrior:
 
     def __post_init__(self):
         frozen = {}
-        log_weights = {}  # every posterior call needs them; they depend on the prior alone
         for x, (mu1, mu0, w) in self.points.items():
             mu1 = np.asarray(mu1, dtype=np.float64)
             mu0 = np.asarray(mu0, dtype=np.float64)
@@ -291,14 +293,12 @@ class GridPrior:
                 )
             if not (np.all(np.isfinite(mu1)) and np.all(np.isfinite(mu0))):
                 raise SpecValidationError(f"grid support at x={x!r} contains non-finite values")
-            with np.errstate(divide="ignore"):
-                logw = np.log(w)
-            for arr in (mu1, mu0, w, logw):
+            for arr in (mu1, mu0, w):
                 arr.flags.writeable = False
             frozen[x] = (mu1, mu0, w)
-            log_weights[x] = logw
         object.__setattr__(self, "points", frozen)
-        object.__setattr__(self, "_log_weights", log_weights)
+        # (x, ("aware", g)) or (x, (n1, n0)) -> _CentreGroups, filled by _grouped
+        object.__setattr__(self, "_groups", {})
 
     def support(self, x, g: int) -> np.ndarray:
         mu1, mu0, _ = self.points[x]
@@ -314,77 +314,126 @@ class GridPrior:
     def posterior_aware(self, signal, n_cell: int, sigma_sq: float, x, g: int):
         """Posterior mean of mu(x, g) after the group-aware prediction.
 
-        Each pair is reweighted by the Normal density of the signal at its
-        mu_g coordinate with variance sigma_sq/n_cell.
+        Each distinct mu_g value is reweighted by the Normal density of the
+        signal at it with variance sigma_sq/n_cell.
         """
         s = _checked_signal(signal, (n_cell,), sigma_sq, _aware_empty(x, g))
-        support = self.support(x, g)
-        return self._posterior_mean(x, support, support, s, sigma_sq / n_cell)
+        groups = self._grouped(x, ("aware", g))
+        return _posterior_mean(groups, groups.centres, s, sigma_sq / n_cell)
 
     def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x, g: int):
         """Posterior mean of mu(x, g) after the group-blind prediction.
 
-        Pairs are reweighted by the Normal density of the signal at
-        w1*mu1 + w0*mu0 with variance sigma_sq/(n1+n0).
+        Each distinct centre (n1*mu1 + n0*mu0)/(n1+n0) is reweighted by the
+        Normal density of the signal at it with variance sigma_sq/(n1+n0).
         """
         s = _checked_signal(signal, counts, sigma_sq, _blind_empty(x))
-        n1, n0 = counts
-        n = n1 + n0
-        mu1, mu0, _ = self.points[x]
-        centers = (n1 * mu1 + n0 * mu0) / n
-        return self._posterior_mean(x, mu1 if g == 1 else mu0, centers, s, sigma_sq / n)
+        groups = self._grouped(x, tuple(counts))
+        return _posterior_mean(groups, groups.means[g], s, sigma_sq / sum(counts))
 
     def disparity_infimum(self, counts: tuple, x) -> float:
         """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
 
         The prior is delta-disparate at ``x`` exactly when this is at least
-        delta. The scan runs over the weighted-mean values realised on the
-        support, grouping values closer than ``_GROUP_TOL`` of the span.
+        delta. The scan runs over the blind signal centres realised on the
+        support. A run of centres within ``_GROUP_TOL * max(1, span)`` of the
+        run's first centre is one conditioning value.
         """
-        w1, w0 = _pool_weights(counts)
-        mu1, mu0, weights = self.points[x]
-        keep = weights > 0
-        mu1, mu0, weights = mu1[keep], mu0[keep], weights[keep]
-        mbar = w1 * mu1 + w0 * mu0
-        order = np.argsort(mbar, kind="stable")
-        mbar, gaps, weights = mbar[order], (mu1 - mu0)[order], weights[order]
-        span = float(mbar[-1] - mbar[0]) if mbar.size > 1 else 0.0
+        _pool_weights(counts)  # rejects counts with no observations
+        groups = self._grouped(x, tuple(counts))
+        centres = groups.centres.tolist()
+        span = centres[-1] - centres[0]
         atol = _GROUP_TOL * max(1.0, span)
-        infimum = math.inf
-        start = 0
-        for stop in range(1, mbar.size + 1):
-            if stop < mbar.size and mbar[stop] - mbar[start] <= atol:
-                continue
-            w = weights[start:stop]
-            infimum = min(infimum, float(np.dot(w, gaps[start:stop]) / w.sum()))
-            start = stop
-        return infimum
+        starts = [0]
+        for k, c in enumerate(centres):
+            if c - centres[starts[-1]] > atol:
+                starts.append(k)
+        weight = groups.weight
+        gap = np.add.reduceat(weight * (groups.means[1] - groups.means[0]), starts)
+        return float(np.min(gap / np.add.reduceat(weight, starts)))
 
-    def _posterior_mean(self, x, target: np.ndarray, centers: np.ndarray,
-                        signal: np.ndarray, signal_var: float):
-        """Posterior mean of ``target`` under Normal(centers, signal_var) likelihoods.
+    def _grouped(self, x, key: tuple) -> "_CentreGroups":
+        """The support at ``x`` grouped by the signal centre that ``key`` names.
 
-        Each signal's row is shifted by its own max log-posterior before
-        exponentiation, so the row underflows only when all its mass is gone.
+        ``("aware", g)`` groups by mu_g; ``(n1, n0)`` by the blind centre, with
+        the conditional means of mu0 and mu1 that both groups' decisions use.
+        Groups are exact float ties; those with zero weight are dropped, since
+        their conditional means would be 0/0.
         """
-        signals = signal.reshape(-1)
-        logw = self._log_weights[x]
-        out = np.empty(signals.shape[0], dtype=np.float64)
-        rows = max(1, _GRID_CHUNK_ELEMENTS // max(1, centers.size))
-        for start in range(0, signals.shape[0], rows):
-            s = signals[start:start + rows]
-            dev = s[:, None] - centers[None, :]
-            # extreme signals overflow to -inf log-mass, caught as support errors
-            with np.errstate(over="ignore"):
-                lp = logw[None, :] - dev * dev / (2.0 * signal_var)
-            shift = lp.max(axis=1, keepdims=True)
-            if not np.all(np.isfinite(shift)):
-                bad = int(np.flatnonzero(~np.isfinite(shift.ravel()))[0]) + start
-                raise SignalSupportError(f"signal outside prior support (signal index "
-                                         f"{bad}, value {float(signals[bad])})")
-            w = np.exp(lp - shift)
-            out[start:start + rows] = (w @ target) / w.sum(axis=1)
-        return out.reshape(signal.shape)[()]
+        groups = self._groups.get((x, key))
+        if groups is not None:
+            return groups
+        mu1, mu0, weights = self.points[x]
+        if key[0] == "aware":
+            centres, targets = (mu1 if key[1] == 1 else mu0), ()
+        else:
+            n1, n0 = key
+            centres, targets = (n1 * mu1 + n0 * mu0) / (n1 + n0), (mu0, mu1)
+        # a stable sort keeps each group in support order, so its sums do not
+        # depend on how ties are broken
+        order = np.argsort(centres, kind="stable")
+        centres = centres[order]
+        first = np.ones(centres.size, dtype=bool)
+        np.not_equal(centres[1:], centres[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        centres = centres[starts]  # frees the support-sized copies before the targets'
+        sorted_weights = weights[order]
+        weight = np.add.reduceat(sorted_weights, starts)
+        keep = weight > 0
+        means = []
+        for target in targets:
+            weighted = target[order]
+            weighted *= sorted_weights
+            means.append(np.add.reduceat(weighted, starts)[keep] / weight[keep])
+        groups = _CentreGroups(centres=centres[keep], log_weight=np.log(weight[keep]),
+                               weight=weight[keep], means=tuple(means))
+        self._groups[(x, key)] = groups
+        return groups
+
+
+@dataclass(frozen=True)
+class _CentreGroups:
+    """A grid's support grouped by signal centre, in ascending centre order.
+
+    ``means[g]`` is the conditional mean of mu_g at each centre; aware
+    groups have none, because their centre is the target itself.
+    """
+
+    centres: np.ndarray
+    weight: np.ndarray
+    log_weight: np.ndarray
+    means: tuple
+
+
+def _posterior_mean(groups: _CentreGroups, target: np.ndarray, signal: np.ndarray,
+                    signal_var: float):
+    """Posterior mean of ``target`` under Normal(centre, signal_var) likelihoods.
+
+    Each signal's log-likelihoods are taken relative to its nearest centre:
+    ``((s - c_k)**2 - (s - c_near)**2) / (2 var)``, factored as
+    ``(c_near - c_k) * ((2 s - c_near) - c_k)`` on quartered values, so no
+    factor overflows. The nearest centre's term is exactly 0; a product that
+    overflows is +inf, a mass that is genuinely gone.
+    """
+    signals = signal.reshape(-1)
+    centres = groups.centres
+    quarter = 0.25 * centres
+    right = np.minimum(np.searchsorted(centres, signals), centres.size - 1)
+    left = np.maximum(right - 1, 0)
+    nearer_left = signals <= 0.5 * centres[left] + 0.5 * centres[right]
+    near = np.where(nearer_left, quarter[left], quarter[right])
+    mirror = (0.25 * signals - near) + 0.25 * signals
+    out = np.empty(signals.shape[0], dtype=np.float64)
+    rows = max(1, _GRID_CHUNK_ELEMENTS // centres.size)
+    for start in range(0, signals.shape[0], rows):
+        chunk = slice(start, start + rows)
+        with np.errstate(over="ignore"):
+            excess = ((near[chunk, None] - quarter) * (mirror[chunk, None] - quarter)
+                      * 8.0 / signal_var)
+        lp = groups.log_weight - excess
+        w = np.exp(lp - lp.max(axis=1, keepdims=True))
+        out[chunk] = (w @ target) / w.sum(axis=1)
+    return out.reshape(signal.shape)[()]
 
 
 Prior = ConjugateNormalPrior | GridPrior

@@ -516,7 +516,8 @@ def verify_consistency(spec: ProblemSpec, prior: GridPrior, config: TrainingConf
     medians shrink as cells grow, provided the prior's support reaches the
     true means. Three all-or-nothing checks: truth in support, medians
     weakly decreasing up to ``CONSISTENCY_SLACK``, and the last median below
-    ``CONSISTENCY_BOUND``.
+    ``CONSISTENCY_BOUND``. True means so large that adjacent floats are
+    further apart than the slack are a precondition error.
     """
     validate_spec(spec)
     if prior.kind != GridPrior.kind:
@@ -525,6 +526,14 @@ def verify_consistency(spec: ProblemSpec, prior: GridPrior, config: TrainingConf
         raise PreconditionError("n_grid must be non-empty")
     if any(n < 1 for n in n_grid):
         raise PreconditionError("n_grid entries must be at least 1")
+    for x, g in spec.cells():
+        # the checks are absolute, so floats near the truth must resolve the slack
+        spacing = float(np.spacing(abs(spec.mu(x, g))))
+        if spacing > CONSISTENCY_SLACK:
+            raise PreconditionError(
+                f"true mean {spec.mu(x, g)!r} at cell ({x!r}, {g}) is too large for "
+                f"consistency's slack {CONSISTENCY_SLACK}: floats there are {spacing:g} apart"
+            )
     in_support = _truth_in_support(prior, spec)
     medians = []
     for i, n_cell in enumerate(n_grid):

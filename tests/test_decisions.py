@@ -7,6 +7,7 @@ own grid priors, which must agree with the closed forms to 1e-6.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -231,10 +232,127 @@ class TestGridPosteriors:
         assert got == pytest.approx(0.25, abs=1e-2)
 
     def test_signal_outside_support(self):
-        prior = af.GridPrior(points={"x0": (np.asarray([0.0]), np.asarray([0.0]),
-                                            np.asarray([1.0]))})
-        with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
-            prior.posterior_aware(1e300, 4, 1.0, "x0", 1)
+        # far from the support the posterior is the nearest centre's mean,
+        # with no float warning on the way
+        two = af.GridPrior(points={"x0": (np.asarray([0.0, 1.0]), np.asarray([0.0, 1.0]),
+                                          np.asarray([0.5, 0.5]))})
+        one = af.GridPrior(points={"x0": (np.asarray([0.0]), np.asarray([0.0]),
+                                          np.asarray([1.0]))})
+        apart = af.GridPrior(points={"x0": (np.asarray([0.0, 1e300]),
+                                            np.asarray([0.0, 1e300]),
+                                            np.asarray([0.5, 0.5]))})
+        far = np.asarray([1e160, -1e160, 1e300, -1e300, 1.7e308, -1.7e308])
+        nearest = np.where(far > 0, 1.0, 0.0)
+        between = np.asarray([-1.0, 1.0, 0.9e300, 1.1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(apart.posterior_aware(between, 4, 1.0, "x0", 1),
+                                  [0.0, 0.0, 1e300, 1e300])
+            for g in (0, 1):
+                assert np.array_equal(two.posterior_aware(far, 4, 1.0, "x0", g), nearest)
+                assert np.array_equal(two.posterior_blind(far, (3, 5), 1.0, "x0", g), nearest)
+                assert np.array_equal(one.posterior_aware(far, 4, 1.0, "x0", g), 0.0 * far)
+                assert np.array_equal(one.posterior_blind(far, (3, 5), 1.0, "x0", g),
+                                      0.0 * far)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
+                two.posterior_aware(bad, 4, 1.0, "x0", 1)
+            with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
+                two.posterior_blind([0.5, bad], (3, 5), 1.0, "x0", 0)
+
+
+def old_infimum_scan(mu1, mu0, weights, counts):
+    """The point-by-point scan ``disparity_infimum`` ran before grouping."""
+    n1, n0 = counts
+    w1, w0 = n1 / (n1 + n0), n0 / (n1 + n0)
+    keep = weights > 0
+    mu1, mu0, weights = mu1[keep], mu0[keep], weights[keep]
+    mbar = w1 * mu1 + w0 * mu0
+    order = np.argsort(mbar, kind="stable")
+    mbar, gaps, weights = mbar[order], (mu1 - mu0)[order], weights[order]
+    span = float(mbar[-1] - mbar[0]) if mbar.size > 1 else 0.0
+    atol = 1e-9 * max(1.0, span)
+    infimum = math.inf
+    start = 0
+    for stop in range(1, mbar.size + 1):
+        if stop < mbar.size and mbar[stop] - mbar[start] <= atol:
+            continue
+        w = weights[start:stop]
+        infimum = min(infimum, float(np.dot(w, gaps[start:stop]) / w.sum()))
+        start = stop
+    return infimum
+
+
+def lattice_grid(k1, k0, centre1, centre0, sd):
+    """A k1 x k0 product grid of a Normal prior: exact ties in many centres."""
+    p1, w1 = af.normal_marginal_grid(centre1, sd, 3.0, k1) if k1 > 1 else ([centre1], [1.0])
+    p0, w0 = af.normal_marginal_grid(centre0, sd, 3.0, k0) if k0 > 1 else ([centre0], [1.0])
+    return af.product_grid(p1, w1, p0, w0)
+
+
+def decisions(points, signals, counts, sigma_sq):
+    """Every grid decision at ``signals``: both posteriors for both groups and
+    the disparity infimum."""
+    prior = af.GridPrior(points={"x0": points})
+    out = [prior.disparity_infimum(counts, "x0")]
+    for g in (0, 1):
+        out.append(prior.posterior_aware(signals, counts[1 - g], sigma_sq, "x0", g))
+        out.append(prior.posterior_blind(signals, counts, sigma_sq, "x0", g))
+    return out
+
+
+class TestGridRepresentation:
+    """Grouping by signal centre must not depend on how the support is written."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(k1=st.integers(1, 121), k0=st.integers(1, 121),
+           centre1=st.floats(-3, 3), centre0=st.floats(-3, 3), sd=st.floats(0.1, 3),
+           n1=st.integers(1, 9), n0=st.integers(1, 9), sigma_sq=st.floats(0.1, 4),
+           split=st.integers(0, 121 * 121 - 1), seed=st.integers(0, 2 ** 32 - 1),
+           extra=st.tuples(st.floats(-50, 50), st.floats(-50, 50)))
+    def test_split_permuted_and_zero_weight_points_change_nothing(
+            self, k1, k0, centre1, centre0, sd, n1, n0, sigma_sq, split, seed, extra):
+        mu1, mu0, w = lattice_grid(k1, k0, centre1, centre0, sd)
+        signals = np.concatenate([np.linspace(-12.0, 12.0, 7), [1e3, -1e3]])
+        scale = max(1.0, float(np.abs(mu1).max()), float(np.abs(mu0).max()))
+        want = decisions((mu1, mu0, w), signals, (n1, n0), sigma_sq)
+
+        i = split % w.size
+        halved = w.copy()
+        halved[i] /= 2
+        order = np.random.default_rng(seed).permutation(w.size)
+        variants = {
+            "split": (np.append(mu1, mu1[i]), np.append(mu0, mu0[i]),
+                      np.append(halved, halved[i])),
+            "permuted": (mu1[order], mu0[order], w[order]),
+            "zero-weight": (np.append(mu1, extra[0]), np.append(mu0, extra[1]),
+                            np.append(w, 0.0)),
+        }
+        for name, points in variants.items():
+            got = decisions(points, signals, (n1, n0), sigma_sq)
+            for a, b in zip(got, want):
+                assert np.max(np.abs(np.asarray(a) - b)) <= 1e-12 * scale, name
+
+    def test_posterior_does_not_depend_on_call_history(self):
+        points = lattice_grid(41, 37, 0.3, -0.2, 1.1)
+        signals = np.linspace(-3.0, 3.0, 11)
+        fresh = af.GridPrior(points={"x0": points})
+        used = af.GridPrior(points={"x0": points})
+        for g in (0, 1):
+            used.posterior_aware(signals, 3, 1.0, "x0", g)
+        used.posterior_blind(signals, (4, 4), 1.0, "x0", 1)
+        used.disparity_infimum((2, 7), "x0")
+        for g in (0, 1):
+            assert np.array_equal(fresh.posterior_blind(signals, (5, 3), 1.0, "x0", g),
+                                  used.posterior_blind(signals, (5, 3), 1.0, "x0", g))
+            assert np.array_equal(fresh.posterior_aware(signals, 2, 1.0, "x0", g),
+                                  used.posterior_aware(signals, 2, 1.0, "x0", g))
+
+    def test_product_grid_collapses_to_one_aware_centre_per_value(self):
+        k = 31
+        prior = af.GridPrior(points={"x0": lattice_grid(k, k, 0.5, -0.5, 1.0)})
+        for g in (0, 1):
+            assert prior._grouped("x0", ("aware", g)).centres.size == k
 
 
 class TestDeltaDisparate:
@@ -256,6 +374,14 @@ class TestDeltaDisparate:
         pts, w = af.normal_marginal_grid(0.0, 1.0, n_points=501)
         prior = af.GridPrior(points={"x0": af.diagonal_grid(pts, w)})
         assert prior.disparity_infimum((4, 4), "x0") == pytest.approx(0.0, abs=1e-12)
+
+    def test_grouped_infimum_matches_point_scan(self):
+        prior = af.dense_grid_from_conjugate(conjugate_prior(-0.3, 0.6, tau_sq=0.8), ["x0"],
+                                             n_points=121)
+        mu1, mu0, w = prior.points["x0"]
+        for counts in ((4, 4), (5, 3), (1, 9), (7, 0)):
+            want = old_infimum_scan(mu1, mu0, w, counts)
+            assert prior.disparity_infimum(counts, "x0") == pytest.approx(want, abs=1e-12)
 
 
 class TestRealizeRules:

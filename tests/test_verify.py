@@ -228,6 +228,15 @@ class TestConsistency:
         assert not out.passed(0.95)
         assert out.notes
 
+    def test_truth_beyond_the_slack_resolution_is_a_precondition_error(self):
+        # near 1e160 adjacent floats are ~1e144 apart, so no error is below the slack
+        prior = af.GridPrior(points={"x0": af.diagonal_grid([0.0, 1.0], [0.5, 0.5])})
+        spec = af.ProblemSpec(
+            covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
+            true_means={("x0", 0): 1e160, ("x0", 1): 1e160}, noise_var=1.0)
+        with pytest.raises(af.PreconditionError, match="too large for consistency's slack"):
+            af.verify_consistency(spec, prior, balanced_config(10), 20, n_grid=[10, 100])
+
     def test_conjugate_prior_is_a_precondition_error(self):
         with pytest.raises(af.PreconditionError, match="consistency needs a grid prior"):
             af.verify_consistency(single_x_spec(0.0), biased_prior(), balanced_config(10), 20,
