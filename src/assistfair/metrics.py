@@ -136,10 +136,15 @@ def pointwise_risk(rule_value, spec: ProblemSpec, x, g: int):
 
 
 def _estimate(samples: np.ndarray) -> Estimate:
+    # the arithmetic of samples.mean() and samples.std(ddof=1), in fewer passes
     reps = samples.shape[0]
-    value = float(samples.mean())
-    se = float(samples.std(ddof=1) / math.sqrt(reps)) if reps >= 2 else None
-    return Estimate(value=value, se=se, reps=reps)
+    mean = np.add.reduce(samples) / reps
+    se = None
+    if reps >= 2:
+        dev = samples - mean
+        dev *= dev
+        se = math.sqrt(np.add.reduce(dev) / (reps - 1)) / math.sqrt(reps)
+    return Estimate(value=float(mean), se=se, reps=reps)
 
 
 def _rule_stats(kind: RuleKind, per_cell: Mapping, spec: ProblemSpec) -> RuleStats:

@@ -251,7 +251,10 @@ class ConjugateNormalPrior:
         return self.beta_gap(x) if w1 == w0 else -math.inf
 
 
-@dataclass(frozen=True)
+# Identity equality and hash: the support is a dict of arrays, which neither
+# compares to one bool nor hashes, and the per-prior centre cache is valid
+# only for the instance that built it.
+@dataclass(frozen=True, eq=False)
 class GridPrior:
     """Discrete belief over mean pairs: per x, points (mu1_i, mu0_i) with weights.
 

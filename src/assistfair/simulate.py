@@ -38,6 +38,15 @@ __all__ = [
     "replicate_rule_values",
 ]
 
+# glibc serves an allocation above its mmap threshold (128 KiB at start) with
+# mmap and returns freed heap to the system once the free top exceeds its trim
+# threshold, so each job would fault its arrays back in page by page. Freeing
+# an mmapped chunk raises the mmap threshold to that chunk's size (glibc caps
+# this at 32 MiB) and the trim threshold to twice that. One 24 MiB array,
+# never touched and dropped at once, keeps later arrays on a heap that stays
+# mapped between jobs. Under another allocator it is one untouched allocation.
+np.empty(3 << 20)
+
 
 def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -> Mapping:
     """Per-cell training averages for ``reps`` independent replications.
@@ -51,9 +60,10 @@ def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -
         raise ConfigError("reps must be at least 1")
     cells = [(x, g) for (x, g) in spec.cells() if config.count(x, g) > 0]
     seeds = rng.replication_seed(config.seed, np.arange(reps, dtype=np.uint64))
+    training = rng.derive_key(seeds, rng.STREAM_TRAINING)
     out = {}
     for x, g in cells:
-        keys = rng.derive_key(seeds, rng.STREAM_TRAINING, spec.cell_index(x, g))
+        keys = rng.fold_key(training, spec.cell_index(x, g))
         sd = math.sqrt(spec.noise_var / config.count(x, g))
         out[(x, g)] = rng.normal_block(keys, 1, mean=spec.mu(x, g), sd=sd)[:, 0]
     return out

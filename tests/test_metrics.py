@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import binom, norm
 
 import assistfair as af
+from assistfair.metrics import _estimate
 
 
 def canonical_spec(mu0=0.0, mu1=0.0):
@@ -128,6 +129,19 @@ class TestMonteCarloReport:
         assert parsed["reps"] == 4
         assert len(parsed["rules"]) == 5
         assert "excess_risk" in parsed["rules"][0]
+
+    def test_estimate_matches_numpy_mean_and_std(self):
+        draws = np.random.default_rng(5)
+        for _ in range(300):
+            n = int(draws.integers(1, 3000))
+            samples = draws.normal(draws.normal() * 10, draws.exponential() + 1e-3, n)
+            est = _estimate(samples)
+            assert est.value == float(samples.mean())
+            assert est.reps == n
+            if n == 1:
+                assert est.se is None
+            else:
+                assert est.se == float(samples.std(ddof=1) / math.sqrt(n))
 
     def test_rejects_zero_reps(self):
         with pytest.raises(af.ConfigError):

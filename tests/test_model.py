@@ -115,6 +115,21 @@ class TestTraining:
                 expected = spec.mu(x, g) + math.sqrt(spec.noise_var / n) * ndtri(u0)
                 assert abs(means[(x, g)][r] - expected) <= 1e-12
 
+    def test_first_cell_means_are_pinned(self):
+        # golden values of the drawn stream: a change to rng or to the cell
+        # keys fails here, not only in a README note
+        spec = example_spec(mu0=-0.1, mu1=0.1)
+        cfg = af.TrainingConfig(counts={("x0", 0): 2, ("x0", 1): 2}, seed=20240817)
+        means = af.replicate_cell_means(spec, cfg, 4)
+        golden = {
+            ("x0", 0): [0.770558903407528, -0.003048719704585312,
+                        0.8950238177965778, 1.1514205677104645],
+            ("x0", 1): [-0.2750198950201296, 0.04502676748415482,
+                        0.08294797195586076, 0.315193398566341],
+        }
+        for cell, values in golden.items():
+            assert means[cell].tolist() == pytest.approx(values, rel=1e-12, abs=0)
+
     def test_cell_means_are_a_prefix_of_longer_runs(self):
         spec = two_x_spec()
         cfg = af.TrainingConfig(counts=self.COUNTS, seed=31)
@@ -226,6 +241,12 @@ class TestGrids:
         with pytest.raises(af.SpecValidationError):
             af.GridPrior(points={"a": (np.asarray([0.0]), np.asarray([0.0]),
                                        np.asarray([-1.0]))})
+
+    def test_grid_prior_compares_and_hashes_by_identity(self):
+        points = {"x0": ([0.0, 1.0], [0.0, 1.0], [0.5, 0.5])}
+        a, b = af.GridPrior(points=points), af.GridPrior(points=points)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_grid_prior_rejects_non_finite_weights(self, bad):

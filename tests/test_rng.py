@@ -1,8 +1,26 @@
 """Counter-based stream generator: determinism, slicing, and distribution."""
 
 import numpy as np
+import pytest
+from scipy.special import ndtri as scipy_ndtri
 
 from assistfair import rng
+
+# worst relative gap to scipy seen for the AS 241 kernel is about 1.05e-15
+NDTRI_RTOL = 4e-15
+
+
+def grid_uniforms(n, seed):
+    """``n`` points of the centred 52-bit grid, from numpy's own generator."""
+    m = np.random.default_rng(seed).integers(0, 1 << 52, size=n, dtype=np.uint64)
+    return (m.astype(np.float64) + 0.5) * 2.0 ** -52
+
+
+def assert_matches_scipy(u):
+    ours, ref = rng.ndtri(u), scipy_ndtri(u)
+    assert np.all(np.isfinite(ours))
+    rel = np.abs(ours - ref) / np.maximum(np.abs(ref), np.finfo(np.float64).tiny)
+    assert rel.max() <= NDTRI_RTOL, u[np.argmax(rel)]
 
 
 def test_uniform_stream_deterministic():
@@ -15,6 +33,45 @@ def test_uniform_stream_open_interval():
     u = rng.uniform_stream(7, 10000)
     assert u.min() > 0.0
     assert u.max() < 1.0
+
+
+def test_unit_map_stays_inside_open_interval_at_extreme_words():
+    words = np.asarray([0, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    u = rng._to_unit(words)
+    assert np.all(u > 0.0) and np.all(u < 1.0)
+    assert u.tolist() == [2.0 ** -53, 0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53]
+    assert np.all(np.isfinite(rng.ndtri(u)))
+
+
+def test_ndtri_is_odd_about_one_half_on_the_grid():
+    u = np.concatenate([grid_uniforms(200_000, 1), rng.uniform_stream(3, 50_000),
+                        rng._to_unit(np.asarray([0, 1 << 63, (1 << 64) - 1],
+                                                dtype=np.uint64))])
+    assert np.array_equal(rng.ndtri(1.0 - u), -rng.ndtri(u))
+
+
+@pytest.mark.parametrize("u", [
+    np.geomspace(1e-300, 0.075, 100_001),
+    1.0 - np.geomspace(2.0 ** -53, 0.075, 100_001),
+    np.linspace(0.05, 0.95, 200_001),
+], ids=["lower_tail", "upper_tail", "centre"])
+def test_ndtri_matches_scipy_on_dense_sweeps(u):
+    assert_matches_scipy(u)
+
+
+def test_ndtri_matches_scipy_on_random_grid_points():
+    assert_matches_scipy(grid_uniforms(2_000_000, 2))
+
+
+@pytest.mark.parametrize("edge", [0.075, 0.925, np.exp(-25.0), -np.expm1(-25.0)],
+                         ids=["0.075", "0.925", "exp(-25)", "1-exp(-25)"])
+def test_ndtri_matches_scipy_at_region_boundaries(edge):
+    below = [np.nextafter(edge, 0.0)]
+    above = [np.nextafter(edge, 1.0)]
+    for _ in range(2):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], 1.0))
+    assert_matches_scipy(np.asarray(below[::-1] + [edge] + above))
 
 
 def test_offset_slices_whole_stream():
@@ -59,6 +116,13 @@ def test_derive_key_vectorizes_over_parts():
     keys = rng.derive_key(42, rng.STREAM_TRAINING, idx)
     singles = [rng.derive_key(42, rng.STREAM_TRAINING, int(i)) for i in idx]
     assert keys.tolist() == singles
+
+
+def test_fold_key_continues_a_derivation():
+    assert rng.fold_key(rng.derive_key(42, 1), 7, 3) == rng.derive_key(42, 1, 7, 3)
+    seeds = np.arange(6, dtype=np.uint64)
+    prefix = rng.derive_key(seeds, rng.STREAM_TRAINING)
+    assert np.array_equal(rng.fold_key(prefix, 5), rng.derive_key(seeds, rng.STREAM_TRAINING, 5))
 
 
 def test_derive_key_order_sensitive():

@@ -244,6 +244,13 @@ class TestConsistency:
 
 
 class TestDeterminism:
+    def test_thm1_fraction_is_pinned(self):
+        # golden value of the drawn stream, as in test_model's pinned cell means
+        out = af.verify_disparity_reversal(single_x_spec(0.2), biased_prior(),
+                                           balanced_config(2), 400)
+        assert out.success_fraction == pytest.approx(0.8125, rel=1e-12)
+        assert out.per_inequality["d_plus_lt_delta@x0"] == pytest.approx(0.8125, rel=1e-12)
+
     def test_verifier_reruns_identically(self):
         a = af.verify_disparity_reversal(single_x_spec(0.2), biased_prior(),
                                          balanced_config(20), 200)
