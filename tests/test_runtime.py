@@ -49,6 +49,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="the heap thresholds are glibc's")
+@pytest.mark.skipif(any(k.startswith("MALLOC_") or k == "GLIBC_TUNABLES" for k in os.environ),
+                    reason="a fixed malloc threshold turns glibc's dynamic one off")
 def test_repeated_jobs_reuse_a_warm_heap():
     # a heap trimmed after every job faults its pages back in: about 500
     # minor faults per call at this size, against 0 on a warm heap
