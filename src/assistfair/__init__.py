@@ -39,14 +39,9 @@ from .model import (
     document_to_spec,
     normal_marginal_grid,
     product_grid,
-    validate_config,
-    validate_spec,
 )
 from .oracle import (
     ClosedFormTable,
-    Regime,
-    RegimeResult,
-    classify_regime,
     delta_threshold_example,
     example_closed_forms,
     machine_risk_expectations,
@@ -83,15 +78,12 @@ __all__ = [
     "PreconditionError",
     "Prior",
     "ProblemSpec",
-    "Regime",
-    "RegimeResult",
     "RuleKind",
     "RuleStats",
     "SignalSupportError",
     "SpecValidationError",
     "TrainingConfig",
     "VerificationOutcome",
-    "classify_regime",
     "delta_threshold_example",
     "dense_grid_from_conjugate",
     "derive_example_params",
@@ -108,8 +100,6 @@ __all__ = [
     "replicate_cell_means",
     "replicate_rule_values",
     "rule_values_from_cell_means",
-    "validate_config",
-    "validate_spec",
     "verify_consistency",
     "verify_disparity_reversal",
     "verify_machine_regimes",

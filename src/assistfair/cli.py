@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -37,7 +38,7 @@ from .model import (
     document_to_spec,
     normal_marginal_grid,
 )
-from .model import _integer, _number
+from .model import _field, _integer, _number
 from .oracle import example_closed_forms, xi_threshold_general
 from .verify import (
     verify_consistency,
@@ -58,10 +59,6 @@ DEFAULT_N_GRID = [10, 100, 1000]  # per-cell sample sizes of the consistency cla
 
 CSV_HEADER = ("rule", "x", "quantity", "value", "se", "reps", "seed")
 SWEEP_AXES = ("n", "delta", "delta_mu", "noise_var", "tau_sq")
-
-_SPEC_FIELDS = ("covariates", "covariate_probs", "group_probs", "true_means",
-                "noise_var")
-_REQUIRED_FIELDS = _SPEC_FIELDS + ("counts", "seed", "prior")
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +81,11 @@ def load_document(path) -> dict:
 def parse_bundle(doc: Mapping, *, seed: int | None = None,
                  reps: int | None = None) -> tuple:
     """Build (spec, prior, config, reps, rule kinds) from a config document."""
-    for name in _REQUIRED_FIELDS:
-        if name not in doc:
-            raise ConfigError(f"config missing required field: {name}")
     spec = document_to_spec(doc)
-    working = dict(doc)
+    config = document_to_config(doc, spec)
     if seed is not None:
-        working["seed"] = seed
-    config = document_to_config(working, spec)
-    prior = document_to_prior(doc["prior"], spec)
+        config = replace(config, seed=seed)
+    prior = document_to_prior(_field(doc, "prior"), spec)
     if reps is None:
         reps = _integer(doc.get("reps", DEFAULT_REPS), "reps")
     if reps < 1:
@@ -100,10 +93,10 @@ def parse_bundle(doc: Mapping, *, seed: int | None = None,
     rule_names = doc.get("rules")
     if rule_names is None:
         kinds = list(RuleKind)
-    elif isinstance(rule_names, list):
+    elif isinstance(rule_names, list) and rule_names:
         kinds = [RuleKind.from_name(name) for name in rule_names]
     else:
-        raise ConfigError(f"rules must be a list of rule names, got {rule_names!r}")
+        raise ConfigError(f"rules must be a non-empty list of rule names, got {rule_names!r}")
     return spec, prior, config, reps, kinds
 
 
@@ -386,9 +379,11 @@ def _write_sweep_charts(out: Path, axis: str, reports: Sequence,
         for kind in present
     ]
     vlines = []
-    if axis == "delta_mu" and len(base_spec.covariates) == 1:
-        xi = xi_threshold_general(base_spec, base_config, base_spec.covariates[0])
-        vlines.append(VLine(x=xi, label="ξ"))
+    x = base_spec.covariates[0]
+    # ξ is defined for one covariate value, and only when both its cells are observed
+    if axis == "delta_mu" and len(base_spec.covariates) == 1 \
+            and base_config.count(x, 0) and base_config.count(x, 1):
+        vlines.append(VLine(x=xi_threshold_general(base_spec, base_config, x), label="ξ"))
     xlabel = _AXIS_LABELS.get(axis, axis)
     for name, series, ylabel, marks in (
         ("sweep_disparity", disparity_series, "E[Δ]", ()),

@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import Prior, ProblemSpec, RuleKind, TrainingConfig
 from .simulate import replicate_rule_values
 
@@ -180,8 +179,6 @@ def mc_expected_metrics(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
 
     With ``reps=1`` point values are reported and standard errors are None.
     """
-    if reps < 1:
-        raise ConfigError("reps must be at least 1")
     kinds = list(rule_kinds) if rule_kinds is not None else list(RuleKind)
     values = replicate_rule_values(spec, prior, config, kinds, reps)
     rules = {kind: _rule_stats(kind, values[kind], spec) for kind in kinds}

@@ -11,7 +11,8 @@ group-aware or group-blind machine signal, and the disparity infimum that
 certifies the prior as delta-disparate.
 
 All types are plain frozen dataclasses; nothing here mutates after
-construction. Training draws are simulated by :mod:`assistfair.simulate`.
+construction. The problem, training and prior types check their own
+invariants when constructed and raise ``SpecValidationError``. Training draws are simulated by :mod:`assistfair.simulate`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "GridPrior",
     "Prior",
     "DerivedExampleParams",
-    "validate_spec",
     "derive_example_params",
     "normal_marginal_grid",
     "product_grid",
@@ -90,6 +90,30 @@ class ProblemSpec:
     true_means: Mapping
     noise_var: float
 
+    def __post_init__(self):
+        if len(self.covariates) == 0:
+            raise SpecValidationError("covariate support is empty")
+        if len(set(self.covariates)) != len(self.covariates):
+            raise SpecValidationError("covariate values must be distinct")
+        if not (isinstance(self.noise_var, (int, float)) and self.noise_var > 0):
+            raise SpecValidationError("noise_var must be positive")
+        total = math.fsum(self.covariate_probs.get(x, 0.0) for x in self.covariates)
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise SpecValidationError(f"covariate_probs sum to {total!r}, expected 1")
+        for x in self.covariates:
+            px = self.covariate_probs.get(x)
+            if px is None or not 0.0 <= px <= 1.0:
+                raise SpecValidationError(f"covariate_probs[{x!r}] must lie in [0, 1]")
+            pg = self.group_probs.get(x)
+            if pg is None or not 0.0 <= pg <= 1.0:
+                raise SpecValidationError(f"group_probs[{x!r}] must lie in [0, 1]")
+            for g in (0, 1):
+                mu = self.true_means.get((x, g))
+                if mu is None:
+                    raise SpecValidationError(f"missing true mean for cell ({x!r}, {g})")
+                if not math.isfinite(mu):
+                    raise SpecValidationError(f"true mean for cell ({x!r}, {g}) is not finite")
+
     def mu(self, x, g: int) -> float:
         return self.true_means[(x, g)]
 
@@ -113,10 +137,22 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Per-cell training sample sizes and the sampling seed."""
+    """Per-cell training sample sizes and the sampling seed.
+
+    Whether every count names a cell of the problem is checked where the two
+    meet, in :func:`assistfair.simulate.replicate_cell_means`.
+    """
 
     counts: Mapping
     seed: int
+
+    def __post_init__(self):
+        if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
+            raise SpecValidationError("seed must be an unsigned 64-bit integer")
+        for cell, n in self.counts.items():
+            if not isinstance(n, int) or n < 0:
+                raise SpecValidationError(
+                    f"count for cell {cell!r} must be a non-negative integer")
 
     def count(self, x, g: int) -> int:
         return self.counts.get((x, g), 0)
@@ -453,48 +489,6 @@ class DerivedExampleParams:
     n: int            # total sample size, split n/2 per group
 
 
-def validate_spec(spec: ProblemSpec) -> ProblemSpec:
-    """Check all ProblemSpec invariants; on success return the spec unchanged.
-
-    Raises SpecValidationError naming the first violated invariant.
-    """
-    if len(spec.covariates) == 0:
-        raise SpecValidationError("covariate support is empty")
-    if len(set(spec.covariates)) != len(spec.covariates):
-        raise SpecValidationError("covariate values must be distinct")
-    if not (isinstance(spec.noise_var, (int, float)) and spec.noise_var > 0):
-        raise SpecValidationError("noise_var must be positive")
-    total = math.fsum(spec.covariate_probs.get(x, 0.0) for x in spec.covariates)
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise SpecValidationError(f"covariate_probs sum to {total!r}, expected 1")
-    for x in spec.covariates:
-        px = spec.covariate_probs.get(x)
-        if px is None or not 0.0 <= px <= 1.0:
-            raise SpecValidationError(f"covariate_probs[{x!r}] must lie in [0, 1]")
-        pg = spec.group_probs.get(x)
-        if pg is None or not 0.0 <= pg <= 1.0:
-            raise SpecValidationError(f"group_probs[{x!r}] must lie in [0, 1]")
-        for g in (0, 1):
-            mu = spec.true_means.get((x, g))
-            if mu is None:
-                raise SpecValidationError(f"missing true mean for cell ({x!r}, {g})")
-            if not math.isfinite(mu):
-                raise SpecValidationError(f"true mean for cell ({x!r}, {g}) is not finite")
-    return spec
-
-
-def validate_config(config: TrainingConfig, spec: ProblemSpec) -> TrainingConfig:
-    """Check TrainingConfig invariants against a spec's support."""
-    if not isinstance(config.seed, int) or not 0 <= config.seed < _MAX_SEED:
-        raise SpecValidationError("seed must be an unsigned 64-bit integer")
-    for cell, n in config.counts.items():
-        if cell not in set(spec.cells()):
-            raise SpecValidationError(f"counts given for unknown cell {cell!r}")
-        if not isinstance(n, int) or n < 0:
-            raise SpecValidationError(f"count for cell {cell!r} must be a non-negative integer")
-    return config
-
-
 def derive_example_params(spec: ProblemSpec, prior: ConjugateNormalPrior,
                           config: TrainingConfig) -> DerivedExampleParams:
     """Reduce a balanced, single-covariate setup to its scalar example parameters.
@@ -662,14 +656,13 @@ def document_to_spec(doc: Mapping) -> ProblemSpec:
     means = {}
     for x, (m0, m1) in _per_covariate(doc, "true_means", by_key, _number, pair=True).items():
         means[(x, 0)], means[(x, 1)] = m0, m1
-    spec = ProblemSpec(
+    return ProblemSpec(
         covariates=tuple(covariates),
         covariate_probs=_per_covariate(doc, "covariate_probs", by_key, _number),
         group_probs=_per_covariate(doc, "group_probs", by_key, _number),
         true_means=means,
         noise_var=_number(_field(doc, "noise_var"), "noise_var"),
     )
-    return validate_spec(spec)
 
 
 def document_to_config(doc: Mapping, spec: ProblemSpec) -> TrainingConfig:
@@ -677,8 +670,7 @@ def document_to_config(doc: Mapping, spec: ProblemSpec) -> TrainingConfig:
     counts = {}
     for x, (n0, n1) in _per_covariate(doc, "counts", by_key, _integer, pair=True).items():
         counts[(x, 0)], counts[(x, 1)] = n0, n1
-    config = TrainingConfig(counts=counts, seed=_integer(_field(doc, "seed"), "seed"))
-    return validate_config(config, spec)
+    return TrainingConfig(counts=counts, seed=_integer(_field(doc, "seed"), "seed"))
 
 
 def document_to_prior(doc: Mapping, spec: ProblemSpec) -> Prior:

@@ -14,7 +14,6 @@ root-finding.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -23,14 +22,11 @@ from .errors import EmptyCellError, PreconditionError
 from .model import ProblemSpec, RuleKind, TrainingConfig
 
 __all__ = [
-    "Regime",
     "ClosedFormTable",
-    "RegimeResult",
     "example_closed_forms",
     "xi_threshold_general",
     "delta_threshold_example",
     "machine_risk_expectations",
-    "classify_regime",
 ]
 
 _RULE_LABELS = {
@@ -40,11 +36,6 @@ _RULE_LABELS = {
     RuleKind.D_MINUS: "d-",
     RuleKind.D_PLUS: "d+",
 }
-
-
-class Regime(enum.Enum):
-    TRADE_OFF = "trade_off"
-    DOMINANCE = "dominance"
 
 
 @dataclass(frozen=True)
@@ -92,20 +83,6 @@ class ClosedFormTable:
                 f"{self.expected_risk[kind]:>16.10g}"
             )
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class RegimeResult:
-    """Machine trade-off classification at one covariate value."""
-
-    x: str
-    xi: float
-    abs_delta_mu: float
-    regime: Regime
-    risk_aware: float
-    risk_blind: float
-    counts: tuple
-    noise_var: float
 
 
 def example_closed_forms(sigma_sq: float, tau_sq: float, n: int, delta: float,
@@ -211,19 +188,3 @@ def delta_threshold_example(sigma_sq: float, tau_sq: float, n: int,
         n * tau_sq + 4.0 * sigma_sq
     )
 
-
-def classify_regime(spec: ProblemSpec, config: TrainingConfig, x) -> RegimeResult:
-    """Classify the machine trade-off at ``x`` and echo the oracle quantities.
-
-    The boundary |delta_mu| = xi is labeled DOMINANCE by convention (the
-    trade-off regime is a strict inequality).
-    """
-    xi = xi_threshold_general(spec, config, x)
-    risk_aware, risk_blind = machine_risk_expectations(spec, config, x)
-    abs_gap = abs(spec.delta_mu(x))
-    regime = Regime.TRADE_OFF if abs_gap > xi else Regime.DOMINANCE
-    return RegimeResult(
-        x=str(x), xi=xi, abs_delta_mu=abs_gap, regime=regime,
-        risk_aware=risk_aware, risk_blind=risk_blind,
-        counts=(config.count(x, 1), config.count(x, 0)), noise_var=spec.noise_var,
-    )

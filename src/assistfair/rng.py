@@ -34,14 +34,11 @@ import numpy as np
 __all__ = [
     "GOLDEN",
     "STREAM_TRAINING",
-    "STREAM_DEPLOYMENT",
     "STREAM_REPLICATION",
     "STREAM_SCENARIO",
     "derive_key",
     "fold_key",
     "replication_seed",
-    "uniform_stream",
-    "normal_stream",
     "uniform_block",
     "normal_block",
 ]
@@ -50,9 +47,9 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 
 # Fixed stream tags; folding a tag first keeps the per-purpose streams of one
-# seed decorrelated from each other.
+# seed decorrelated from each other. Tag 2 is unused; the tags keep their
+# values so that every derived key does too.
 STREAM_TRAINING = 1
-STREAM_DEPLOYMENT = 2
 STREAM_REPLICATION = 3
 STREAM_SCENARIO = 4
 
@@ -192,18 +189,6 @@ def ndtri(u):
             zt[far] = _rational(_E, _F, s[far] - 5.0)
         z[tail] = np.copysign(zt, q[tail])
     return z.reshape(shape)
-
-
-def uniform_stream(key, n: int, offset: int = 0) -> np.ndarray:
-    """``n`` uniforms in (0, 1) from stream ``key``, starting at draw ``offset``."""
-    idx = (np.arange(offset, offset + n, dtype=np.uint64) + _ONE) * _GOLDEN_U64
-    return _to_unit(_mix64(_as_u64(key) + idx))
-
-
-def normal_stream(key, n: int, mean: float = 0.0, sd: float = 1.0,
-                  offset: int = 0) -> np.ndarray:
-    """``n`` Normal(mean, sd^2) draws from stream ``key`` via the inverse CDF."""
-    return mean + sd * ndtri(uniform_stream(key, n, offset))
 
 
 def uniform_block(keys: np.ndarray, n: int) -> np.ndarray:

@@ -8,7 +8,7 @@ directly and evaluates the rules as array operations across replications.
 Determinism contract: replication ``r`` under master seed ``s`` owns the
 derived seed ``k = replication_seed(s, r)``. Its mean in cell ``(x, g)`` is
 ``mu(x, g) + sqrt(noise_var / n(x, g)) * ndtri(u)``, where ``u`` is draw 0 of
-``rng.uniform_stream(derive_key(k, STREAM_TRAINING, cell_index))``. Each
+the stream keyed ``derive_key(k, STREAM_TRAINING, cell_index)``. Each
 replication's means depend only on ``(s, r)``, so a run of R replications is
 the first R entries of any longer run, and reruns are byte-identical.
 """
@@ -21,15 +21,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import rng
-from .errors import ConfigError, EmptyCellError
-from .model import (
-    Prior,
-    ProblemSpec,
-    RuleKind,
-    TrainingConfig,
-    validate_config,
-    validate_spec,
-)
+from .errors import ConfigError, EmptyCellError, SpecValidationError
+from .model import Prior, ProblemSpec, RuleKind, TrainingConfig
 
 __all__ = [
     "replicate_cell_means",
@@ -53,9 +46,13 @@ def replicate_cell_means(spec: ProblemSpec, config: TrainingConfig, reps: int) -
 
     Returns {(x, g): float array of length reps} covering every cell with a
     positive count. Replication r draws from seed replication_seed(config.seed, r).
+    Every engine path starts here, so this is where a count for a cell the
+    spec lacks is rejected.
     """
-    validate_spec(spec)
-    validate_config(config, spec)
+    known = set(spec.cells())
+    unknown = [cell for cell in config.counts if cell not in known]
+    if unknown:
+        raise SpecValidationError(f"counts given for unknown cell {unknown[0]!r}")
     if reps < 1:
         raise ConfigError("reps must be at least 1")
     cells = [(x, g) for (x, g) in spec.cells() if config.count(x, g) > 0]

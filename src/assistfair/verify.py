@@ -33,12 +33,12 @@ from .model import (
     RuleKind,
     TrainingConfig,
     derive_example_params,
-    validate_spec,
 )
 from .oracle import (
-    classify_regime,
     delta_threshold_example,
     example_closed_forms,
+    machine_risk_expectations,
+    xi_threshold_general,
 )
 from .simulate import pooled_mean, replicate_rule_values
 
@@ -200,7 +200,6 @@ def _replay_chain(claim_id: str, spec: ProblemSpec, prior: Prior, config: Traini
     replications; a replication succeeds when every check holds at every
     covariate value.
     """
-    validate_spec(spec)
     _require_counts(spec, config)
     deltas = _resolve_deltas(spec, prior, config, delta)
     _gap_preconditions(spec, deltas, strict_lower=strict_lower)
@@ -297,35 +296,41 @@ def verify_tradeoff_reversal(spec: ProblemSpec, prior: Prior, config: TrainingCo
 
 def _machine_regime_at(spec: ProblemSpec, config: TrainingConfig, means: Mapping, x,
                        reps: int) -> tuple:
-    """Checks and echoed parameters of the regime claim at one covariate value."""
-    regime = classify_regime(spec, config, x)
+    """Checks and echoed parameters of the regime claim at one covariate value.
+
+    The oracle regime is trade-off when |delta_mu| exceeds xi strictly; the
+    boundary |delta_mu| = xi is dominance.
+    """
+    xi = xi_threshold_general(spec, config, x)
+    oracle_aware, oracle_blind = machine_risk_expectations(spec, config, x)
+    abs_gap = abs(spec.delta_mu(x))
     pooled = pooled_mean(config, means, x, reps)
     risk_aware = _risk_at_x(spec, means, x)
     risk_blind = _risk_at_x(spec, {(x, 0): pooled, (x, 1): pooled}, x)
     aware, blind = _estimate(risk_aware), _estimate(risk_blind)
     diff = _estimate(risk_aware - risk_blind)
-    oracle_diff = regime.risk_aware - regime.risk_blind
+    oracle_diff = oracle_aware - oracle_blind
     if oracle_diff == 0.0:
         sign_ok = abs(diff.value) <= SE_BAND * diff.se
     else:
         sign_ok = math.copysign(1.0, diff.value) == math.copysign(1.0, oracle_diff)
     checks = {
         "risk_gap_sign_matches_oracle": sign_ok,
-        "aware_risk_within_3se": abs(aware.value - regime.risk_aware) < SE_BAND * aware.se,
-        "blind_risk_within_3se": abs(blind.value - regime.risk_blind) < SE_BAND * blind.se,
+        "aware_risk_within_3se": abs(aware.value - oracle_aware) < SE_BAND * aware.se,
+        "blind_risk_within_3se": abs(blind.value - oracle_blind) < SE_BAND * blind.se,
     }
     params = {
         "x": str(x),
-        "xi": regime.xi,
-        "abs_delta_mu": regime.abs_delta_mu,
-        "regime": regime.regime.value,
-        "oracle_risk_aware": regime.risk_aware,
-        "oracle_risk_blind": regime.risk_blind,
+        "xi": xi,
+        "abs_delta_mu": abs_gap,
+        "regime": "trade_off" if abs_gap > xi else "dominance",
+        "oracle_risk_aware": oracle_aware,
+        "oracle_risk_blind": oracle_blind,
         "mc_risk_aware": aware.value,
         "mc_risk_blind": blind.value,
         "mc_se_aware": aware.se,
         "mc_se_blind": blind.se,
-        "counts": list(regime.counts),
+        "counts": [config.count(x, 1), config.count(x, 0)],
         "noise_var": spec.noise_var,
         "seed": config.seed,
     }
@@ -342,7 +347,6 @@ def verify_machine_regimes(spec: ProblemSpec, prior: Prior, config: TrainingConf
     prior is not used: the automated rules ignore it.
     """
     _require_se_reps("remark3", reps)
-    validate_spec(spec)
     # called through ``simulate`` so wrappers installed on it see the draw
     means = simulate.replicate_cell_means(spec, config, reps)
     per_inequality, parameters, all_ok = {}, {}, True
@@ -369,7 +373,6 @@ def verify_remark1(spec: ProblemSpec, prior: ConjugateNormalPrior,
     non-negative within 3 SE.
     """
     _require_se_reps("remark1", reps)
-    validate_spec(spec)
     params = derive_example_params(spec, prior, config)
     if not params.delta > params.delta_mu >= 0:
         raise PreconditionError(
@@ -425,7 +428,6 @@ def verify_remark2(spec: ProblemSpec, prior: ConjugateNormalPrior, config: Train
     document's own prior gap is replaced by each probe gap.
     """
     _require_se_reps("remark2", reps)
-    validate_spec(spec)
     example = derive_example_params(spec, prior, config)
     x = spec.covariates[0]
     if spec.p_group(x, 1) != 0.5:
@@ -519,7 +521,6 @@ def verify_consistency(spec: ProblemSpec, prior: GridPrior, config: TrainingConf
     ``CONSISTENCY_BOUND``. True means so large that adjacent floats are
     further apart than the slack are a precondition error.
     """
-    validate_spec(spec)
     if prior.kind != GridPrior.kind:
         raise PreconditionError("consistency needs a grid prior")
     if not n_grid:

@@ -124,6 +124,15 @@ class TestSimulate:
         assert_usage_error(code, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_rules_list_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "cfg.json", rules=[],
+                           sweep={"axis": "delta_mu", "values": [0.2, 0.6]})
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert_usage_error(code, capsys)
+        assert not out.exists()
+
     def test_invalid_json_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{nope", encoding="utf-8")
@@ -448,6 +457,20 @@ class TestSweep:
             assert len(points) == 10  # 5 rules x 2 sweep values
         risk_rows = list(csv.reader((out / "sweep_risk.csv").open()))
         assert any(row[0].startswith("vline") for row in risk_rows[1:])
+
+    def test_gap_sweep_with_an_empty_cell_charts_without_xi(self, tmp_path):
+        # xi needs both cells observed; the machine-blind and unassisted rules do not
+        cfg = write_config(
+            tmp_path / "cfg.json", reps=50, counts={"x0": [0, 4]}, rules=["f_minus", "d0"],
+            sweep=[{"axis": "delta_mu", "values": [0.2, 0.6]}])
+        out = tmp_path / "out"
+        proc = run_cli("sweep", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("sweep_disparity", "sweep_risk"):
+            assert (out / f"{name}.svg").read_text().startswith("<svg")
+        risk_rows = list(csv.reader((out / "sweep_risk.csv").open()))
+        assert len(risk_rows) == 1 + 4  # 2 rules x 2 sweep values
+        assert not any(row[0].startswith("vline") for row in risk_rows[1:])
 
     def test_sample_size_sweep_shrinks_assisted_disparity(self, tmp_path):
         cfg = write_config(

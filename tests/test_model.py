@@ -33,43 +33,50 @@ def two_x_spec():
 
 class TestSpecValidation:
     def test_valid_spec_passes(self):
-        af.validate_spec(two_x_spec())
+        assert two_x_spec().covariates == ("a", "b")
 
     def test_nonpositive_noise_var(self):
         with pytest.raises(af.SpecValidationError, match="noise_var must be positive"):
-            af.validate_spec(example_spec(noise_var=0.0))
+            example_spec(noise_var=0.0)
 
     def test_covariate_probs_must_sum_to_one(self):
-        spec = af.ProblemSpec(
-            covariates=("a", "b"), covariate_probs={"a": 0.5, "b": 0.6},
-            group_probs={"a": 0.5, "b": 0.5},
-            true_means={("a", 0): 0.0, ("a", 1): 0.0, ("b", 0): 0.0, ("b", 1): 0.0},
-            noise_var=1.0,
-        )
         with pytest.raises(af.SpecValidationError, match="covariate_probs"):
-            af.validate_spec(spec)
+            af.ProblemSpec(
+                covariates=("a", "b"), covariate_probs={"a": 0.5, "b": 0.6},
+                group_probs={"a": 0.5, "b": 0.5},
+                true_means={("a", 0): 0.0, ("a", 1): 0.0, ("b", 0): 0.0, ("b", 1): 0.0},
+                noise_var=1.0,
+            )
 
     def test_group_prob_outside_unit_interval(self):
-        spec = af.ProblemSpec(
-            covariates=("a",), covariate_probs={"a": 1.0}, group_probs={"a": 1.5},
-            true_means={("a", 0): 0.0, ("a", 1): 0.0}, noise_var=1.0,
-        )
         with pytest.raises(af.SpecValidationError, match="group_probs"):
-            af.validate_spec(spec)
+            af.ProblemSpec(
+                covariates=("a",), covariate_probs={"a": 1.0}, group_probs={"a": 1.5},
+                true_means={("a", 0): 0.0, ("a", 1): 0.0}, noise_var=1.0,
+            )
 
     def test_missing_cell_mean(self):
-        spec = af.ProblemSpec(
-            covariates=("a",), covariate_probs={"a": 1.0}, group_probs={"a": 0.5},
-            true_means={("a", 0): 0.0}, noise_var=1.0,
-        )
         with pytest.raises(af.SpecValidationError, match="missing true mean"):
-            af.validate_spec(spec)
+            af.ProblemSpec(
+                covariates=("a",), covariate_probs={"a": 1.0}, group_probs={"a": 0.5},
+                true_means={("a", 0): 0.0}, noise_var=1.0,
+            )
 
     def test_config_seed_range(self):
-        spec = example_spec()
-        cfg = af.TrainingConfig(counts={("x0", 0): 2, ("x0", 1): 2}, seed=-1)
         with pytest.raises(af.SpecValidationError, match="seed"):
-            af.validate_config(cfg, spec)
+            af.TrainingConfig(counts={("x0", 0): 2, ("x0", 1): 2}, seed=-1)
+
+    @pytest.mark.parametrize("count", [-1, 2.0], ids=["negative", "float"])
+    def test_config_count_must_be_a_non_negative_int(self, count):
+        with pytest.raises(af.SpecValidationError,
+                           match=r"count for cell \('x0', 1\) must be a non-negative integer"):
+            af.TrainingConfig(counts={("x0", 0): 2, ("x0", 1): count}, seed=0)
+
+    def test_count_for_unknown_cell_raises_from_the_engine(self):
+        cfg = af.TrainingConfig(counts={("x0", 0): 2, ("x0", 1): 2, ("x9", 0): 1}, seed=0)
+        with pytest.raises(af.SpecValidationError,
+                           match=r"counts given for unknown cell \('x9', 0\)"):
+            af.replicate_cell_means(example_spec(), cfg, 10)
 
 
 class TestSpecAccessors:
@@ -111,7 +118,7 @@ class TestTraining:
             seed = rng.replication_seed(4, r)
             for (x, g), n in self.COUNTS.items():
                 key = rng.derive_key(seed, rng.STREAM_TRAINING, spec.cell_index(x, g))
-                u0 = rng.uniform_stream(key, 1)[0]
+                u0 = rng.uniform_block(key, 1)[0, 0]
                 expected = spec.mu(x, g) + math.sqrt(spec.noise_var / n) * ndtri(u0)
                 assert abs(means[(x, g)][r] - expected) <= 1e-12
 
@@ -139,19 +146,16 @@ class TestTraining:
             assert short[cell].tobytes() == long[cell][:3000].tobytes()
 
     def test_cell_means_match_label_averages_in_distribution(self):
-        # the engine's direct draw of each mean against averages of n labels
-        # from rng.normal_stream, one independent stream per replication
+        # the engine's direct draw of each mean against averages of n labels,
+        # row r of an rng.normal_block holding replication r's labels
         spec = two_x_spec()
         cfg = af.TrainingConfig(counts=self.COUNTS, seed=12)
         reps = 4000
         means = af.replicate_cell_means(spec, cfg, reps)
         sd = math.sqrt(spec.noise_var)
         for (x, g), n in self.COUNTS.items():
-            labels = np.asarray([
-                rng.normal_stream(rng.derive_key(77, spec.cell_index(x, g), r), n,
-                                  mean=spec.mu(x, g), sd=sd).mean()
-                for r in range(reps)
-            ])
+            keys = rng.derive_key(77, spec.cell_index(x, g), np.arange(reps, dtype=np.uint64))
+            labels = rng.normal_block(keys, n, mean=spec.mu(x, g), sd=sd).mean(axis=1)
             var = spec.noise_var / n
             for sample in (means[(x, g)], labels):
                 assert abs(sample.mean() - spec.mu(x, g)) < 4 * math.sqrt(var / reps)

@@ -80,6 +80,11 @@ class TestClosedFormTable:
         assert parsed["inputs"]["n"] == 8
 
 
+def remark3_parameters(spec, cfg):
+    """The regime claim's oracle parameters at x0; two reps suffice for them."""
+    return af.verify_machine_regimes(spec, None, cfg, 2).parameters["x0"]
+
+
 class TestMachineThreshold:
     def test_balanced_threshold_is_two_sigma_over_root_n(self):
         spec = af.ProblemSpec(
@@ -122,14 +127,14 @@ class TestMachineThreshold:
                     **spec_template)
                 xi = af.xi_threshold_general(spec, cfg, "x0")
                 aware, blind = af.machine_risk_expectations(spec, cfg, "x0")
-                result = af.classify_regime(spec, cfg, "x0")
-                assert result.xi == pytest.approx(xi)
+                result = remark3_parameters(spec, cfg)
+                assert result["xi"] == pytest.approx(xi)
                 if gap > xi + 1e-9:
                     assert aware < blind
-                    assert result.regime is af.Regime.TRADE_OFF
+                    assert result["regime"] == "trade_off"
                 elif gap < xi - 1e-9:
                     assert aware > blind
-                    assert result.regime is af.Regime.DOMINANCE
+                    assert result["regime"] == "dominance"
 
     def test_criterion_regime_instances(self):
         spec_hi = af.ProblemSpec(
@@ -139,23 +144,25 @@ class TestMachineThreshold:
             covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
             true_means={("x0", 0): -0.1, ("x0", 1): 0.1}, noise_var=1.0)
         cfg = af.TrainingConfig(counts={("x0", 0): 8, ("x0", 1): 8}, seed=0)
-        hi = af.classify_regime(spec_hi, cfg, "x0")
-        lo = af.classify_regime(spec_lo, cfg, "x0")
-        assert hi.regime is af.Regime.TRADE_OFF
-        assert (hi.risk_aware, hi.risk_blind) == (pytest.approx(1.125),
-                                                  pytest.approx(1.2225))
-        assert lo.regime is af.Regime.DOMINANCE
-        assert (lo.risk_aware, lo.risk_blind) == (pytest.approx(1.125),
-                                                  pytest.approx(1.0725))
+        hi = remark3_parameters(spec_hi, cfg)
+        lo = remark3_parameters(spec_lo, cfg)
+        assert hi["regime"] == "trade_off"
+        assert (hi["oracle_risk_aware"], hi["oracle_risk_blind"]) == (
+            pytest.approx(1.125), pytest.approx(1.2225))
+        assert lo["regime"] == "dominance"
+        assert (lo["oracle_risk_aware"], lo["oracle_risk_blind"]) == (
+            pytest.approx(1.125), pytest.approx(1.0725))
 
     def test_boundary_counts_as_dominance(self):
         spec = af.ProblemSpec(
             covariates=("x0",), covariate_probs={"x0": 1.0}, group_probs={"x0": 0.5},
             true_means={("x0", 0): -0.25, ("x0", 1): 0.25}, noise_var=1.0)
         cfg = af.TrainingConfig(counts={("x0", 0): 8, ("x0", 1): 8}, seed=0)
-        result = af.classify_regime(spec, cfg, "x0")
-        assert result.risk_aware == pytest.approx(result.risk_blind, abs=1e-12)
-        assert result.regime is af.Regime.DOMINANCE
+        result = remark3_parameters(spec, cfg)
+        assert result["oracle_risk_aware"] == pytest.approx(result["oracle_risk_blind"],
+                                                            abs=1e-12)
+        assert result["abs_delta_mu"] == result["xi"]
+        assert result["regime"] == "dominance"
 
 
 class TestAssistanceThreshold:
