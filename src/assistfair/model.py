@@ -165,9 +165,9 @@ class TrainingConfig:
 # 16 MB; the centre axis is never partitioned, so chunking cannot perturb any
 # row's reduction.
 _GRID_CHUNK_ELEMENTS = 1 << 21
-# Pooled-signal centres of a grid prior closer than this fraction of the
-# support's span are one conditioning value in ``disparity_infimum``.
-_GROUP_TOL = 1e-9
+# Neighbouring signal centres of a grid prior at most this fraction of max(1, span)
+# apart are one group: one likelihood in a posterior, one value in an infimum.
+_GROUP_TOL = 1e-12
 
 
 def _checked_signal(signal, counts: tuple, sigma_sq: float, empty: str) -> np.ndarray:
@@ -299,9 +299,9 @@ class GridPrior:
     or the posterior mean after one machine signal. A signal's likelihood at
     a pair depends only on the pair's signal centre (``mu_g`` for the aware
     prediction, ``(n1*mu1 + n0*mu0)/(n1+n0)`` for the blind one), so each
-    posterior reweights the support grouped by centre: one entry per distinct
-    centre, with its summed weight and the conditional mean of the target.
-    The grouping is built on first use and cached per covariate and counts.
+    posterior reweights the support grouped by centre, neighbours within
+    ``_GROUP_TOL`` of the span as one: each group has its summed weight and
+    the target's conditional mean. Groups and prior means are cached on first use.
     Weights are taken in log-space relative to the centre nearest the signal,
     so however far or sharp the likelihood, the nearest centre keeps its mass.
 
@@ -336,8 +336,8 @@ class GridPrior:
                 arr.flags.writeable = False
             frozen[x] = (mu1, mu0, w)
         object.__setattr__(self, "points", frozen)
-        # (x, ("aware", g)) or (x, (n1, n0)) -> _CentreGroups, filled by _grouped
-        object.__setattr__(self, "_groups", {})
+        # (x, g) -> prior mean; (x, ("aware", g)) or (x, (n1, n0)) -> _CentreGroups
+        object.__setattr__(self, "_cache", {})
 
     def support(self, x, g: int) -> np.ndarray:
         mu1, mu0, _ = self.points[x]
@@ -347,8 +347,11 @@ class GridPrior:
         return self.points[x][2]
 
     def prior_mean(self, x, g: int) -> float:
-        """Prior mean of mu(x, g): the decision with no machine input."""
-        return float(np.dot(self.weights(x), self.support(x, g)))
+        """Prior mean of mu(x, g), the decision with no machine input; cached."""
+        mean = self._cache.get((x, g))
+        if mean is None:
+            mean = self._cache[(x, g)] = float(np.dot(self.weights(x), self.support(x, g)))
+        return mean
 
     def posterior_aware(self, signal, n_cell: int, sigma_sq: float, x, g: int):
         """Posterior mean of mu(x, g) after the group-aware prediction.
@@ -374,32 +377,22 @@ class GridPrior:
         """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
 
         The prior is delta-disparate at ``x`` exactly when this is at least
-        delta. The scan runs over the blind signal centres realised on the
-        support. A run of centres within ``_GROUP_TOL * max(1, span)`` of the
-        run's first centre is one conditioning value.
+        delta. It runs over the blind centre groups of ``_grouped``.
         """
         _pool_weights(counts)  # rejects counts with no observations
         groups = self._grouped(x, tuple(counts))
-        centres = groups.centres.tolist()
-        span = centres[-1] - centres[0]
-        atol = _GROUP_TOL * max(1.0, span)
-        starts = [0]
-        for k, c in enumerate(centres):
-            if c - centres[starts[-1]] > atol:
-                starts.append(k)
-        weight = groups.weight
-        gap = np.add.reduceat(weight * (groups.means[1] - groups.means[0]), starts)
-        return float(np.min(gap / np.add.reduceat(weight, starts)))
+        return float(np.min(groups.means[1] - groups.means[0]))
 
     def _grouped(self, x, key: tuple) -> "_CentreGroups":
         """The support at ``x`` grouped by the signal centre that ``key`` names.
 
         ``("aware", g)`` groups by mu_g; ``(n1, n0)`` by the blind centre, with
         the conditional means of mu0 and mu1 that both groups' decisions use.
-        Groups are exact float ties; those with zero weight are dropped, since
-        their conditional means would be 0/0.
+        Exact ties are summed and zero-weight ties (means 0/0) dropped; then
+        centres at most ``_GROUP_TOL * max(1, span)`` apart merge at their
+        weight-averaged centre, ``span`` being that of the kept centres.
         """
-        groups = self._groups.get((x, key))
+        groups = self._cache.get((x, key))
         if groups is not None:
             return groups
         mu1, mu0, weights = self.points[x]
@@ -419,14 +412,22 @@ class GridPrior:
         sorted_weights = weights[order]
         weight = np.add.reduceat(sorted_weights, starts)
         keep = weight > 0
-        means = []
+        sums = []
         for target in targets:
             weighted = target[order]
             weighted *= sorted_weights
-            means.append(np.add.reduceat(weighted, starts)[keep] / weight[keep])
-        groups = _CentreGroups(centres=centres[keep], log_weight=np.log(weight[keep]),
-                               weight=weight[keep], means=tuple(means))
-        self._groups[(x, key)] = groups
+            sums.append(np.add.reduceat(weighted, starts)[keep])
+        centres, weight = centres[keep], weight[keep]
+        apart = np.diff(centres) > _GROUP_TOL * max(1.0, centres[-1] - centres[0])
+        runs = np.flatnonzero(np.concatenate(([True], apart)))
+        merged = np.add.reduceat(weight, runs)
+        # a group that merges nothing keeps its centre exactly
+        single = np.diff(runs, append=centres.size) == 1
+        centres = np.where(single, centres[runs],
+                           np.add.reduceat(weight * centres, runs) / merged)
+        groups = _CentreGroups(centres=centres, log_weight=np.log(merged),
+                               means=tuple(np.add.reduceat(t, runs) / merged for t in sums))
+        self._cache[(x, key)] = groups
         return groups
 
 
@@ -439,7 +440,6 @@ class _CentreGroups:
     """
 
     centres: np.ndarray
-    weight: np.ndarray
     log_weight: np.ndarray
     means: tuple
 

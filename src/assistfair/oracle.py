@@ -96,7 +96,7 @@ def example_closed_forms(sigma_sq: float, tau_sq: float, n: int, delta: float,
     if not (sigma_sq > 0 and tau_sq > 0):
         raise PreconditionError("sigma_sq and tau_sq must be positive")
     if not (isinstance(n, int) and n > 0 and n % 2 == 0):
-        raise PreconditionError("balanced example requires even n")
+        raise PreconditionError(f"balanced example requires even n > 0, got {n}")
     half = n // 2
     shrink = sigma_sq + half * tau_sq
     level_bias_sq = (mu_bar - beta_bar) ** 2

@@ -62,6 +62,31 @@ class TestUnassisted:
         assert prior.prior_mean("x0", 1) == pytest.approx(2.5)
         assert prior.prior_mean("x0", 0) == pytest.approx(-1.5)
 
+    def test_grid_prior_mean_is_the_weighted_dot_computed_once(self, monkeypatch):
+        points = lattice_grid(41, 37, 0.3, -0.2, 1.1)
+        signals = np.linspace(-3.0, 3.0, 11)
+        first, later = af.GridPrior(points={"x0": points}), af.GridPrior(points={"x0": points})
+        mu1, mu0, w = first.points["x0"]
+        want = {g: float(np.dot(w, mu1 if g else mu0)).hex() for g in (0, 1)}
+        for g in (0, 1):
+            assert first.prior_mean("x0", g).hex() == want[g]
+        for prior in (first, later):
+            for g in (0, 1):
+                prior.posterior_aware(signals, 3, 1.0, "x0", g)
+                prior.posterior_blind(signals, (5, 3), 1.0, "x0", g)
+            prior.disparity_infimum((5, 3), "x0")
+        for g in (0, 1):
+            assert later.prior_mean("x0", g).hex() == want[g]
+
+        def recomputed(*args):
+            raise AssertionError("prior_mean read the support again")
+
+        monkeypatch.setattr(af.GridPrior, "support", recomputed)
+        monkeypatch.setattr(af.GridPrior, "weights", recomputed)
+        for prior in (first, later):
+            for g in (0, 1):
+                assert prior.prior_mean("x0", g).hex() == want[g]
+
 
 class TestAwareConjugate:
     def test_matches_precision_weighting(self):
@@ -353,6 +378,17 @@ class TestGridRepresentation:
         prior = af.GridPrior(points={"x0": lattice_grid(k, k, 0.5, -0.5, 1.0)})
         for g in (0, 1):
             assert prior._grouped("x0", ("aware", g)).centres.size == k
+
+    @pytest.mark.parametrize("k", [101, 121])
+    @pytest.mark.parametrize("counts", [(5, 3), (37, 11)])
+    def test_blind_groups_are_the_lattice(self, k, counts):
+        # on a k x k grid with one step h, the blind centre of point (i, j) is
+        # (n1*i + n0*j) * h / (n1 + n0) plus a constant: one group per distinct
+        # integer n1*i + n0*j, however float rounding splits their ties
+        n1, n0 = counts
+        lattice = {n1 * i + n0 * j for i in range(k) for j in range(k)}
+        prior = af.GridPrior(points={"x0": lattice_grid(k, k, 0.5, -0.5, 1.0)})
+        assert prior._grouped("x0", counts).centres.size == len(lattice)
 
 
 class TestDeltaDisparate:

@@ -69,6 +69,13 @@ class TestClosedFormTable:
         with pytest.raises(af.PreconditionError, match="balanced example requires even n"):
             af.example_closed_forms(1.0, 1.0, 7, 1.0, 0.0, 0.0, 0.0)
 
+    def test_non_positive_n_rejected(self):
+        # 0 and -2 are even; the message must name the positivity rule
+        for n in (0, -2):
+            with pytest.raises(af.PreconditionError,
+                               match=f"balanced example requires even n > 0, got {n}$"):
+                af.example_closed_forms(1.0, 1.0, n, 1.0, 0.0, 0.0, 0.0)
+
     def test_text_and_json_outputs(self):
         table = canonical_table()
         text = table.to_text()
