@@ -168,6 +168,8 @@ _GRID_CHUNK_ELEMENTS = 1 << 21
 # Neighbouring signal centres of a grid prior at most this fraction of max(1, span)
 # apart are one group: one likelihood in a posterior, one value in an infimum.
 _GROUP_TOL = 1e-12
+# exp(t) is exactly +0.0 below about -745.13; np.exp is 15-150x slower near and below
+_EXP_ZERO_BELOW = -746.0
 
 
 def _checked_signal(signal, counts: tuple, sigma_sq: float, empty: str) -> np.ndarray:
@@ -256,8 +258,8 @@ class ConjugateNormalPrior:
             sigma_sq + n_cell * self.tau_sq
         )
 
-    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x, g: int):
-        """Posterior mean of mu(x, g) after the group-blind prediction.
+    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x) -> tuple:
+        """Posterior means (d0, d1) of mu(x, 0), mu(x, 1) after the blind prediction.
 
         The pooled average is Normal(w1*mu(x,1) + w0*mu(x,0), sigma_sq/n) with
         w_g = n_g/n, jointly Normal with the independent cell priors, so
@@ -269,11 +271,10 @@ class ConjugateNormalPrior:
         """
         s = _checked_signal(signal, counts, sigma_sq, _blind_empty(x))
         w1, w0 = _pool_weights(counts)
-        n = sum(counts)
-        signal_mean = w1 * self.beta[(x, 1)] + w0 * self.beta[(x, 0)]
-        gain = (w1 if g == 1 else w0) * self.tau_sq / (
-            (w1 * w1 + w0 * w0) * self.tau_sq + sigma_sq / n)
-        return self.beta[(x, g)] + gain * (s - signal_mean)
+        surprise = s - (w1 * self.beta[(x, 1)] + w0 * self.beta[(x, 0)])
+        denom = (w1 * w1 + w0 * w0) * self.tau_sq + sigma_sq / sum(counts)
+        return tuple(self.beta[(x, g)] + w_g * self.tau_sq / denom * surprise
+                     for g, w_g in ((0, w0), (1, w1)))
 
     def disparity_infimum(self, counts: tuple, x) -> float:
         """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
@@ -349,8 +350,8 @@ class GridPrior:
     def prior_mean(self, x, g: int) -> float:
         """Prior mean of mu(x, g), the decision with no machine input; cached."""
         mean = self._cache.get((x, g))
-        if mean is None:
-            mean = self._cache[(x, g)] = float(np.dot(self.weights(x), self.support(x, g)))
+        if mean is None:  # np.dot's BLAS sum would depend on the thread count
+            mean = self._cache[(x, g)] = float(np.sum(self.weights(x) * self.support(x, g)))
         return mean
 
     def posterior_aware(self, signal, n_cell: int, sigma_sq: float, x, g: int):
@@ -361,17 +362,18 @@ class GridPrior:
         """
         s = _checked_signal(signal, (n_cell,), sigma_sq, _aware_empty(x, g))
         groups = self._grouped(x, ("aware", g))
-        return _posterior_mean(groups, groups.centres, s, sigma_sq / n_cell)
+        return _posterior_mean(groups, (groups.centres,), s, sigma_sq / n_cell)[0]
 
-    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x, g: int):
-        """Posterior mean of mu(x, g) after the group-blind prediction.
+    def posterior_blind(self, signal, counts: tuple, sigma_sq: float, x) -> tuple:
+        """Posterior means (d0, d1) of mu(x, 0), mu(x, 1) after the blind prediction.
 
         Each distinct centre (n1*mu1 + n0*mu0)/(n1+n0) is reweighted by the
-        Normal density of the signal at it with variance sigma_sq/(n1+n0).
+        Normal density of the signal at it with variance sigma_sq/(n1+n0);
+        both groups' decisions share that one likelihood.
         """
         s = _checked_signal(signal, counts, sigma_sq, _blind_empty(x))
         groups = self._grouped(x, tuple(counts))
-        return _posterior_mean(groups, groups.means[g], s, sigma_sq / sum(counts))
+        return _posterior_mean(groups, groups.means, s, sigma_sq / sum(counts))
 
     def disparity_infimum(self, counts: tuple, x) -> float:
         """Infimum over conditioning values of E[mu1 - mu0 | w1*mu1 + w0*mu0].
@@ -444,15 +446,19 @@ class _CentreGroups:
     means: tuple
 
 
-def _posterior_mean(groups: _CentreGroups, target: np.ndarray, signal: np.ndarray,
-                    signal_var: float):
-    """Posterior mean of ``target`` under Normal(centre, signal_var) likelihoods.
+def _posterior_mean(groups: _CentreGroups, targets: tuple, signal: np.ndarray,
+                    signal_var: float) -> tuple:
+    """Posterior means, shaped like ``signal``, of each of ``targets`` under
+    Normal(centre, signal_var) likelihoods; all share one likelihood matrix.
 
     Each signal's log-likelihoods are taken relative to its nearest centre:
     ``((s - c_k)**2 - (s - c_near)**2) / (2 var)``, factored as
     ``(c_near - c_k) * ((2 s - c_near) - c_k)`` on quartered values, so no
     factor overflows. The nearest centre's term is exactly 0; a product that
-    overflows is +inf, a mass that is genuinely gone.
+    overflows is +inf, a mass that is genuinely gone. A term below
+    ``_EXP_ZERO_BELOW`` once the row maximum is subtracted gets the +0.0 that
+    ``exp`` would return, without ``exp``. Sums run in numpy's loops, not
+    BLAS, whose sums depend on its thread count.
     """
     signals = signal.reshape(-1)
     centres = groups.centres
@@ -462,17 +468,27 @@ def _posterior_mean(groups: _CentreGroups, target: np.ndarray, signal: np.ndarra
     nearer_left = signals <= 0.5 * centres[left] + 0.5 * centres[right]
     near = np.where(nearer_left, quarter[left], quarter[right])
     mirror = (0.25 * signals - near) + 0.25 * signals
-    out = np.empty(signals.shape[0], dtype=np.float64)
+    outs = tuple(np.empty(signals.shape[0], dtype=np.float64) for _ in targets)
     rows = max(1, _GRID_CHUNK_ELEMENTS // centres.size)
     for start in range(0, signals.shape[0], rows):
         chunk = slice(start, start + rows)
+        lp = np.subtract(near[chunk, None], quarter)
         with np.errstate(over="ignore"):
-            excess = ((near[chunk, None] - quarter) * (mirror[chunk, None] - quarter)
-                      * 8.0 / signal_var)
-        lp = groups.log_weight - excess
-        w = np.exp(lp - lp.max(axis=1, keepdims=True))
-        out[chunk] = (w @ target) / w.sum(axis=1)
-    return out.reshape(signal.shape)[()]
+            lp *= mirror[chunk, None] - quarter
+            lp *= 8.0
+            lp /= signal_var
+        np.subtract(groups.log_weight, lp, out=lp)
+        lp -= lp.max(axis=1, keepdims=True)
+        low = lp < _EXP_ZERO_BELOW
+        if low.any():
+            np.exp(lp, out=lp, where=~low)
+            np.copyto(lp, 0.0, where=low)
+        else:
+            np.exp(lp, out=lp)
+        total = lp.sum(axis=1)
+        for out, target in zip(outs, targets):
+            out[chunk] = np.einsum("ij,j->i", lp, target) / total
+    return tuple(out.reshape(signal.shape)[()] for out in outs)
 
 
 Prior = ConjugateNormalPrior | GridPrior

@@ -98,7 +98,8 @@ def pooled_mean(config: TrainingConfig, cell_means: Mapping, x, reps: int) -> np
 # The engine reaches each prior's decision surface through these module-level
 # entry points, one per rule and prior kind. The benchmark (perfbench/spans.py)
 # times each kind's posterior by wrapping these names on this module, so the
-# engine must look them up here at call time.
+# engine must look them up here at call time. The blind entry points return
+# both groups' decisions ``(d0, d1)``, from one likelihood per covariate.
 
 
 def decide_unassisted(prior: Prior, x, g: int) -> float:
@@ -111,16 +112,16 @@ def decide_assisted_aware_conjugate(prior: Prior, signal, n_cell: int, sigma_sq:
 
 
 def decide_assisted_blind_conjugate(prior: Prior, signal, counts: tuple, sigma_sq: float,
-                                    x, g: int):
-    return prior.posterior_blind(signal, counts, sigma_sq, x, g)
+                                    x) -> tuple:
+    return prior.posterior_blind(signal, counts, sigma_sq, x)
 
 
 def grid_posterior_aware(prior: Prior, signal, n_cell: int, sigma_sq: float, x, g: int):
     return prior.posterior_aware(signal, n_cell, sigma_sq, x, g)
 
 
-def grid_posterior_blind(prior: Prior, signal, counts: tuple, sigma_sq: float, x, g: int):
-    return prior.posterior_blind(signal, counts, sigma_sq, x, g)
+def grid_posterior_blind(prior: Prior, signal, counts: tuple, sigma_sq: float, x) -> tuple:
+    return prior.posterior_blind(signal, counts, sigma_sq, x)
 
 
 def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: TrainingConfig,
@@ -147,7 +148,11 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
         _require_cells(config, spec, kind)
         per_cell: dict = {}
         for x in spec.covariates:
-            counts = (config.count(x, 1), config.count(x, 0))
+            if kind is RuleKind.D_MINUS:
+                counts = (config.count(x, 1), config.count(x, 0))
+                per_cell[(x, 0)], per_cell[(x, 1)] = posterior_blind(
+                    prior, pooled[x], counts, spec.noise_var, x)
+                continue
             for g in (0, 1):
                 if kind is RuleKind.F_MINUS:
                     per_cell[(x, g)] = pooled[x] if g == 0 else pooled[x].copy()
@@ -155,9 +160,6 @@ def rule_values_from_cell_means(spec: ProblemSpec, prior: Prior, config: Trainin
                     per_cell[(x, g)] = cell_means[(x, g)].copy()
                 elif kind is RuleKind.D0:
                     per_cell[(x, g)] = np.full(reps, decide_unassisted(prior, x, g))
-                elif kind is RuleKind.D_MINUS:
-                    per_cell[(x, g)] = posterior_blind(
-                        prior, pooled[x], counts, spec.noise_var, x, g)
                 elif kind is RuleKind.D_PLUS:
                     per_cell[(x, g)] = posterior_aware(
                         prior, cell_means[(x, g)], config.count(x, g), spec.noise_var, x, g)

@@ -125,8 +125,8 @@ def test_criterion_03_conjugate_grid_equivalence_20_tuples():
                 prior.posterior_aware(own, n_cell, sigma_sq, "x0", g)
                 - grid.posterior_aware(own, n_cell, sigma_sq, "x0", g)))
             worst = max(worst, abs(
-                prior.posterior_blind(pooled, (n1, n0), sigma_sq, "x0", g)
-                - grid.posterior_blind(pooled, (n1, n0), sigma_sq, "x0", g)))
+                prior.posterior_blind(pooled, (n1, n0), sigma_sq, "x0")[g]
+                - grid.posterior_blind(pooled, (n1, n0), sigma_sq, "x0")[g]))
     report(3, "grid posteriors match conjugate closed forms to 1e-6",
            worst < 1e-6, f"worst |gap|={worst:.2e}")
 

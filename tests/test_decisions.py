@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assistfair as af
+from assistfair import model, simulate
 
 
 def conjugate_prior(b0, b1, tau_sq=1.0, x="x0"):
@@ -63,17 +64,19 @@ class TestUnassisted:
         assert prior.prior_mean("x0", 0) == pytest.approx(-1.5)
 
     def test_grid_prior_mean_is_the_weighted_dot_computed_once(self, monkeypatch):
+        # numpy's own pairwise sum, not np.dot: a BLAS dot splits long sums
+        # across threads, so its bits depend on the thread count
         points = lattice_grid(41, 37, 0.3, -0.2, 1.1)
         signals = np.linspace(-3.0, 3.0, 11)
         first, later = af.GridPrior(points={"x0": points}), af.GridPrior(points={"x0": points})
         mu1, mu0, w = first.points["x0"]
-        want = {g: float(np.dot(w, mu1 if g else mu0)).hex() for g in (0, 1)}
+        want = {g: float(np.add.reduce(w * (mu1 if g else mu0))).hex() for g in (0, 1)}
         for g in (0, 1):
             assert first.prior_mean("x0", g).hex() == want[g]
         for prior in (first, later):
             for g in (0, 1):
                 prior.posterior_aware(signals, 3, 1.0, "x0", g)
-                prior.posterior_blind(signals, (5, 3), 1.0, "x0", g)
+            prior.posterior_blind(signals, (5, 3), 1.0, "x0")
             prior.disparity_infimum((5, 3), "x0")
         for g in (0, 1):
             assert later.prior_mean("x0", g).hex() == want[g]
@@ -119,10 +122,10 @@ class TestAwareConjugate:
         signals = np.asarray([[-1.0, 0.0], [2.0, 0.5]])
         for p in (prior, grid):
             for got in (p.posterior_aware(signals, 4, 1.0, "x0", 0),
-                        p.posterior_blind(signals, (4, 2), 1.0, "x0", 0)):
+                        p.posterior_blind(signals, (4, 2), 1.0, "x0")[0]):
                 assert got.shape == signals.shape
             assert np.ndim(p.posterior_aware(0.5, 4, 1.0, "x0", 0)) == 0
-            assert np.ndim(p.posterior_blind(0.5, (4, 2), 1.0, "x0", 0)) == 0
+            assert np.ndim(p.posterior_blind(0.5, (4, 2), 1.0, "x0")[0]) == 0
 
     def test_empty_cell_and_bad_noise(self):
         prior = conjugate_prior(-0.5, 0.5)
@@ -150,8 +153,8 @@ class TestBlindConjugate:
         # beta = (+0.5 group 1, -0.5 group 0), 4+4 observations, signal 1.0:
         # shared shift 0.8, decisions (1.3, 0.3)
         prior = conjugate_prior(-0.5, 0.5)
-        d1 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0", 1)
-        d0 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0", 0)
+        d1 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0")[1]
+        d0 = prior.posterior_blind(1.0, (4, 4), 1.0, "x0")[0]
         assert d1 == pytest.approx(1.3, rel=1e-12)
         assert d0 == pytest.approx(0.3, rel=1e-12)
 
@@ -159,8 +162,8 @@ class TestBlindConjugate:
         # flat prior at 0, counts (n1=6, n0=2), signal 1.0: the majority group
         # absorbs the full signal, the minority one third of it
         prior = conjugate_prior(0.0, 0.0)
-        d1 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0", 1)
-        d0 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0", 0)
+        d1 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0")[1]
+        d0 = prior.posterior_blind(1.0, (6, 2), 1.0, "x0")[0]
         assert d1 == pytest.approx(1.0, rel=1e-12)
         assert d0 == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -172,7 +175,7 @@ class TestBlindConjugate:
         ):
             prior = conjugate_prior(b0, b1, tau_sq=tau_sq)
             for g in (0, 1):
-                got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
+                got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0")[g]
                 want = oracle_blind_mean(b1, b0, tau_sq, signal, n1, n0, sigma_sq, g)
                 assert got == pytest.approx(want, abs=2e-6)
 
@@ -185,15 +188,15 @@ class TestBlindConjugate:
         signal = 2.0
         beta_bar = 0.3
         level = (n * 1.5 * signal + 2 * sigma_sq * beta_bar) / (n * 1.5 + 2 * sigma_sq)
-        d1 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0", 1)
-        d0 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0", 0)
+        d1 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0")[1]
+        d0 = prior.posterior_blind(signal, (6, 6), sigma_sq, "x0")[0]
         assert d1 == pytest.approx(level + 0.5, rel=1e-12)
         assert d0 == pytest.approx(level - 0.5, rel=1e-12)
 
     def test_no_observations(self):
         prior = conjugate_prior(0.0, 0.0)
         with pytest.raises(af.EmptyCellError):
-            prior.posterior_blind(1.0, (0, 0), 1.0, "x0", 1)
+            prior.posterior_blind(1.0, (0, 0), 1.0, "x0")
 
     @settings(max_examples=60, deadline=None)
     @given(b0=st.floats(-3, 3), b1=st.floats(-3, 3), tau_sq=st.floats(0.1, 5),
@@ -202,8 +205,8 @@ class TestBlindConjugate:
     def test_balanced_blind_disparity_is_prior_gap(self, b0, b1, tau_sq, signal,
                                                    half, sigma_sq):
         prior = conjugate_prior(b0, b1, tau_sq=tau_sq)
-        d1 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0", 1)
-        d0 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0", 0)
+        d1 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0")[1]
+        d0 = prior.posterior_blind(signal, (half, half), sigma_sq, "x0")[0]
         assert d1 - d0 == pytest.approx(b1 - b0, abs=1e-9)
 
 
@@ -229,7 +232,7 @@ class TestGridPosteriors:
         like = normal_pdf(centers, signal, sigma_sq / (n1 + n0))
         for g, target in ((1, mu1), (0, mu0)):
             want = np.dot(target, w * like) / np.dot(w, like)
-            got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
+            got = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0")[g]
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_dense_grid_matches_conjugate_closed_forms(self):
@@ -246,8 +249,8 @@ class TestGridPosteriors:
                 aware_cf = prior.posterior_aware(signal, n1 if g else n0, sigma_sq, "x0", g)
                 aware_gr = grid.posterior_aware(signal, n1 if g else n0, sigma_sq, "x0", g)
                 assert abs(aware_cf - aware_gr) < 1e-6
-                blind_cf = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
-                blind_gr = grid.posterior_blind(signal, (n1, n0), sigma_sq, "x0", g)
+                blind_cf = prior.posterior_blind(signal, (n1, n0), sigma_sq, "x0")[g]
+                blind_gr = grid.posterior_blind(signal, (n1, n0), sigma_sq, "x0")[g]
                 assert abs(blind_cf - blind_gr) < 1e-6
 
     def test_sharp_likelihood_stays_stable(self):
@@ -275,16 +278,42 @@ class TestGridPosteriors:
                                   [0.0, 0.0, 1e300, 1e300])
             for g in (0, 1):
                 assert np.array_equal(two.posterior_aware(far, 4, 1.0, "x0", g), nearest)
-                assert np.array_equal(two.posterior_blind(far, (3, 5), 1.0, "x0", g), nearest)
+                assert np.array_equal(two.posterior_blind(far, (3, 5), 1.0, "x0")[g], nearest)
                 assert np.array_equal(one.posterior_aware(far, 4, 1.0, "x0", g), 0.0 * far)
-                assert np.array_equal(one.posterior_blind(far, (3, 5), 1.0, "x0", g),
+                assert np.array_equal(one.posterior_blind(far, (3, 5), 1.0, "x0")[g],
                                       0.0 * far)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
                 two.posterior_aware(bad, 4, 1.0, "x0", 1)
             with pytest.raises(af.SignalSupportError, match="signal outside prior support"):
-                two.posterior_blind([0.5, bad], (3, 5), 1.0, "x0", 0)
+                two.posterior_blind([0.5, bad], (3, 5), 1.0, "x0")[0]
 
+    def test_underflowing_terms_skip_exp_exactly(self, monkeypatch):
+        # at n = 10**4 most of a 2,001-point grid lies hundreds of log-units
+        # below each signal's peak; setting those weights to +0.0 without exp
+        # must give the bits exp gives. A 1e300 target in the tails makes a
+        # subnormal weight show in the mean, as the outside-support test does.
+        pts, w = af.normal_marginal_grid(0.0, 1.0)
+        sharp = af.GridPrior(points={"x0": af.diagonal_grid(pts, w)})._grouped(
+            "x0", ("aware", 1))
+        signals, var = np.linspace(-4.0, 4.0, 200), 1.0 / 10**4
+        spread = (signals[:, None] - sharp.centres) ** 2 / (2 * var)
+        assert np.mean(spread > 800 + np.ptp(sharp.log_weight)) > 0.5
+        tails = np.where(np.abs(sharp.centres) > 1.0, 1e300, 0.0)
+        apart = af.GridPrior(points={"x0": (np.asarray([0.0, 1e300]), np.asarray([0.0, 1e300]),
+                                            np.asarray([0.5, 0.5]))})._grouped("x0", ("aware", 1))
+        # centres 0 and 1: a signal 0.5 - e*v puts the far centre e log-units down
+        edge = af.GridPrior(points={"x0": ([0.0, 1.0], [0.0, 1.0], [0.5, 0.5])})._grouped(
+            "x0", ("aware", 1))
+        below = np.asarray([700.0, 720.0, 745.0, 745.1, 745.2, 746.0, 800.0])
+        cases = ((sharp, (sharp.centres, tails), signals, var),
+                 (apart, (apart.centres,), np.asarray([-1.0, 1.0, 0.9e300, 1.1e300]), 0.25),
+                 (edge, (np.asarray([0.0, 1e300]),), 0.5 - below / 1490.0, 1 / 1490.0))
+        got = [model._posterior_mean(*case) for case in cases]
+        monkeypatch.setattr(model, "_EXP_ZERO_BELOW", -math.inf)  # plain exp on every term
+        for case, means in zip(cases, got):
+            for want, value in zip(model._posterior_mean(*case), means, strict=True):
+                assert want.tobytes() == value.tobytes()
 
 def old_infimum_scan(mu1, mu0, weights, counts):
     """The point-by-point scan ``disparity_infimum`` ran before grouping."""
@@ -322,7 +351,7 @@ def decisions(points, signals, counts, sigma_sq):
     out = [prior.disparity_infimum(counts, "x0")]
     for g in (0, 1):
         out.append(prior.posterior_aware(signals, counts[1 - g], sigma_sq, "x0", g))
-        out.append(prior.posterior_blind(signals, counts, sigma_sq, "x0", g))
+        out.append(prior.posterior_blind(signals, counts, sigma_sq, "x0")[g])
     return out
 
 
@@ -365,11 +394,11 @@ class TestGridRepresentation:
         used = af.GridPrior(points={"x0": points})
         for g in (0, 1):
             used.posterior_aware(signals, 3, 1.0, "x0", g)
-        used.posterior_blind(signals, (4, 4), 1.0, "x0", 1)
+        used.posterior_blind(signals, (4, 4), 1.0, "x0")
         used.disparity_infimum((2, 7), "x0")
         for g in (0, 1):
-            assert np.array_equal(fresh.posterior_blind(signals, (5, 3), 1.0, "x0", g),
-                                  used.posterior_blind(signals, (5, 3), 1.0, "x0", g))
+            assert np.array_equal(fresh.posterior_blind(signals, (5, 3), 1.0, "x0")[g],
+                                  used.posterior_blind(signals, (5, 3), 1.0, "x0")[g])
             assert np.array_equal(fresh.posterior_aware(signals, 2, 1.0, "x0", g),
                                   used.posterior_aware(signals, 2, 1.0, "x0", g))
 
@@ -450,7 +479,38 @@ class TestRealizeRules:
                     prior.posterior_aware(signal, n_cell, 1.0, "x0", g))
             for i, signal in enumerate(f_minus[("x0", g)]):
                 assert rules[af.RuleKind.D_MINUS][("x0", g)][i] == (
-                    prior.posterior_blind(signal, (5, 3), 1.0, "x0", g))
+                    prior.posterior_blind(signal, (5, 3), 1.0, "x0")[g])
+
+    def test_one_likelihood_serves_both_blind_decisions(self, monkeypatch):
+        spec = af.ProblemSpec(
+            covariates=("x0", "x1"), covariate_probs={"x0": 0.4, "x1": 0.6},
+            group_probs={"x0": 0.5, "x1": 0.3},
+            true_means={("x0", 0): -0.1, ("x0", 1): 0.1, ("x1", 0): 0.2, ("x1", 1): 0.5},
+            noise_var=1.0)
+        prior = af.GridPrior(points={"x0": lattice_grid(41, 37, 0.3, -0.2, 1.1),
+                                     "x1": lattice_grid(31, 33, 0.1, 0.4, 0.8)})
+        config = af.TrainingConfig(counts={("x0", 0): 3, ("x0", 1): 5, ("x1", 0): 7,
+                                           ("x1", 1): 2}, seed=31)
+        cell_means = {cell: mean + np.linspace(-1.0, 1.0, 9)
+                      for cell, mean in spec.true_means.items()}
+        calls = []
+        shared = model._posterior_mean
+
+        def counted(*args):
+            calls.append(args)
+            return shared(*args)
+
+        monkeypatch.setattr(model, "_posterior_mean", counted)
+        values = af.rule_values_from_cell_means(spec, prior, config, cell_means,
+                                                [af.RuleKind.D_MINUS])
+        assert len(calls) == 2
+        for x in spec.covariates:
+            counts = (config.count(x, 1), config.count(x, 0))
+            groups = prior._grouped(x, counts)
+            pooled = simulate.pooled_mean(config, cell_means, x, 9)
+            for g in (0, 1):
+                alone = shared(groups, (groups.means[g],), pooled, 1.0 / sum(counts))[0]
+                assert values[af.RuleKind.D_MINUS][(x, g)].tobytes() == alone.tobytes()
 
     def test_grid_prior_path(self):
         conj = conjugate_prior(-0.5, 0.5)

@@ -55,3 +55,49 @@ def test_repeated_jobs_reuse_a_warm_heap():
     # a heap trimmed after every job faults its pages back in: about 500
     # minor faults per call at this size, against 0 on a warm heap
     assert float(run_child(MINOR_FAULTS)) < 20
+
+
+def test_consistency_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.median import numpy.ma lazily, about 13 ms warm and
+    # 34 ms cold, which no other command pays
+    out = run_child(
+        "import sys\n"
+        "from assistfair.cli import main\n"
+        f"main(['verify', 'consistency', '--reps', '20', '--out', {str(tmp_path)!r}])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert out.splitlines()[-1] == "False"
+
+
+GRID_BITS = """
+import numpy as np
+import assistfair as af
+
+points, weights = af.normal_marginal_grid(0.0, 1.0, n_points=101)
+prior = af.GridPrior(points={"x0": af.product_grid(points + 0.5, weights,
+                                                   points - 0.5, weights)})
+out = [prior.prior_mean("x0", g) for g in (0, 1)]
+for signals in (np.asarray([0.3]), np.linspace(-3.0, 3.0, 40)):
+    for g in (0, 1):
+        out.extend(prior.posterior_aware(signals, 3, 1.0, "x0", g))
+    for decisions in prior.posterior_blind(signals, (37, 11), 1.0, "x0"):
+        out.extend(decisions)
+# consistency's shape, 500 signals x 2,001 centres, where a BLAS matrix-vector
+# product splits its rows' sums
+points, weights = af.normal_marginal_grid(0.0, 1.0)
+diagonal = af.GridPrior(points={"x0": af.diagonal_grid(points, weights)})
+out.extend(diagonal.posterior_aware(np.linspace(-3.0, 3.0, 500), 10, 1.0, "x0", 1))
+print(" ".join(float(v).hex() for v in out))
+"""
+
+
+def test_grid_decisions_do_not_depend_on_the_blas_thread_count():
+    # a BLAS dot or matrix product splits long sums across threads, which
+    # changes their order; on a one-CPU machine both runs may use one thread
+    runs = []
+    for threads in ("1", "2"):
+        env = {**ENV, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", GRID_BITS], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
